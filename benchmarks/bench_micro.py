@@ -53,9 +53,10 @@ def test_micro_cheetah_multi_config(benchmark, unified_trace):
 @pytest.mark.benchmark(group="micro")
 def test_micro_emulation(benchmark):
     workload = load_benchmark("epic", scale=0.5)
-    emulator = Emulator(workload.program, workload.streams, seed=3)
 
     def run():
+        # A fresh emulator per round: an Emulator memoises its walk.
+        emulator = Emulator(workload.program, workload.streams, seed=3)
         return emulator.run(10_000).n_visits
 
     visits = benchmark(run)

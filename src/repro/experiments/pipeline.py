@@ -100,6 +100,9 @@ class ExperimentPipeline:
         #: Fault-tolerance knobs for parallel priming (timeout/retries).
         self.policy = (policy or ExecutorPolicy()).with_workers(max_workers)
         self._artifacts: dict[str, ProcessorArtifacts] = {}
+        # One emulator per pipeline: its walk is processor-independent,
+        # so every processor's event trace decorates the same walk.
+        self._emulator: Emulator | None = None
         self._dilation_infos: dict[str, DilationInfo] = {}
         self._cycles: dict[str, int] = {}
         self._params: TraceParameters | None = None
@@ -174,9 +177,11 @@ class ExperimentPipeline:
             packet_bytes=processor.issue_width * WORD_BYTES,
             processor_name=processor.name,
         )
-        events = Emulator(
-            self.workload.program, self.workload.streams, seed=self.seed
-        ).run(self.max_visits, compiled=compiled)
+        if self._emulator is None:
+            self._emulator = Emulator(
+                self.workload.program, self.workload.streams, seed=self.seed
+            )
+        events = self._emulator.run(self.max_visits, compiled=compiled)
         generator = TraceGenerator(binary, events)
         artifacts = ProcessorArtifacts(
             processor=processor,

@@ -391,6 +391,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "_Server"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate writes; with Nagle's algorithm
+    # on, a kept-alive connection would hold each body back until the
+    # client's delayed ACK for the headers arrives.
+    disable_nagle_algorithm = True
 
     # -- plumbing -------------------------------------------------------
 

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.cache.config import WORD_BYTES
 from repro.errors import ConfigurationError
 from repro.vliwcomp.regalloc import SPILL_STREAM
@@ -66,17 +68,30 @@ class StreamSpec:
             )
 
 
+_LCG_MUL, _LCG_INC, _U32 = 1664525, 1013904223, 0xFFFFFFFF
+
+#: Salt that decorrelates a wrong-path draw from the committed draw.
+_WRONG_PATH_SALT = 0x9E3779B9
+
+
 class _Lcg:
     """Tiny deterministic generator (numerical recipes constants)."""
 
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        self.state = (seed * 2654435761 + 1) & 0xFFFFFFFF
+        self.state = (seed * 2654435761 + 1) & _U32
 
     def next_u32(self) -> int:
-        self.state = (self.state * 1664525 + 1013904223) & 0xFFFFFFFF
+        self.state = (self.state * _LCG_MUL + _LCG_INC) & _U32
         return self.state
+
+
+def _lcg_next(states: np.ndarray) -> np.ndarray:
+    """Vectorised :meth:`_Lcg.next_u32` over uint64 states (< 2**32, so
+    the product cannot overflow)."""
+    step = states * np.uint64(_LCG_MUL) + np.uint64(_LCG_INC)
+    return step & np.uint64(_U32)
 
 
 class DataAddressModel:
@@ -118,6 +133,13 @@ class DataAddressModel:
         """Base byte address of the stream's region."""
         self.spec(stream)
         return self._bases[stream]
+
+    def state(self, stream: int) -> tuple[int, int]:
+        """The stream's (LCG state, position) — all it carries between
+        :meth:`next_address` calls.  The vectorised address forms below
+        take arrays of such states."""
+        self.spec(stream)
+        return self._rngs[stream].state, self._positions[stream]
 
     def next_address(self, stream: int) -> int:
         """Advance the stream and return the next byte address."""
@@ -214,13 +236,73 @@ class DataAddressModel:
             addr = base + offset
         elif spec.pattern in ("random", "zipf"):
             shadow = _Lcg(0)
-            shadow.state = (self._rngs[stream].state ^ 0x9E3779B9) & 0xFFFFFFFF
+            shadow.state = (self._rngs[stream].state ^ _WRONG_PATH_SALT) & _U32
             if spec.pattern == "zipf":
                 addr = base + _zipf_word(shadow, words) * WORD_BYTES
             else:
                 addr = base + (shadow.next_u32() % words) * WORD_BYTES
         else:  # stack: the not-taken path still works near the top
             return self.peek_next_address(stream)
+        return addr & ~(WORD_BYTES - 1)
+
+    # ------------------------------------------------------------------
+    # Vectorised forms: one address per recorded stream state.
+    # ------------------------------------------------------------------
+
+    def peek_next_addresses(
+        self, stream: int, states: np.ndarray, positions: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`peek_next_address` for many (LCG state, position) pairs
+        of ``stream``, as :meth:`state` reports them.
+
+        Peeking at the state left by *c* :meth:`next_address` calls gives
+        the address of call *c + 1*, so this also rebuilds a stream's
+        address sequence from its recorded states.
+        """
+        spec = self.spec(stream)
+        base = self._bases[stream]
+        words = spec.region_bytes // WORD_BYTES
+        positions = np.asarray(positions, dtype=np.int64)
+        if spec.pattern in ("sequential", "strided"):
+            addr = base + positions % spec.region_bytes
+        else:
+            draw = _lcg_next(np.asarray(states, dtype=np.uint64))
+            if spec.pattern == "random":
+                addr = base + _uniform_words(draw, words) * WORD_BYTES
+            elif spec.pattern == "zipf":
+                addr = base + _zipf_words(draw, words) * WORD_BYTES
+            else:  # stack
+                window = min(32, words)
+                step = (draw % np.uint64(3)).astype(np.int64) - 1
+                pos = (positions + step) % max(1, words - window)
+                offset = _lcg_next(draw) % np.uint64(window)
+                addr = base + (pos + offset.astype(np.int64)) * WORD_BYTES
+        return addr & ~(WORD_BYTES - 1)
+
+    def wrong_path_addresses(
+        self, stream: int, states: np.ndarray, positions: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`wrong_path_address` for many (LCG state, position)
+        pairs of ``stream``."""
+        spec = self.spec(stream)
+        base = self._bases[stream]
+        words = spec.region_bytes // WORD_BYTES
+        if spec.pattern in ("sequential", "strided"):
+            positions = np.asarray(positions, dtype=np.int64)
+            addr = base + (
+                positions + 64 * spec.stride_bytes
+            ) % spec.region_bytes
+        elif spec.pattern in ("random", "zipf"):
+            salted = np.asarray(states, dtype=np.uint64) ^ np.uint64(
+                _WRONG_PATH_SALT
+            )
+            draw = _lcg_next(salted)
+            if spec.pattern == "zipf":
+                addr = base + _zipf_words(draw, words) * WORD_BYTES
+            else:
+                addr = base + _uniform_words(draw, words) * WORD_BYTES
+        else:  # stack
+            return self.peek_next_addresses(stream, states, positions)
         return addr & ~(WORD_BYTES - 1)
 
 
@@ -233,6 +315,17 @@ def _zipf_word(rng: _Lcg, words: int) -> int:
     """
     u = rng.next_u32() / 0x1_0000_0000
     return int(u * u * words) % max(1, words)
+
+
+def _uniform_words(draws: np.ndarray, words: int) -> np.ndarray:
+    """Word indexes of uniform draws (the ``random`` pattern)."""
+    return (draws % np.uint64(words)).astype(np.int64)
+
+
+def _zipf_words(draws: np.ndarray, words: int) -> np.ndarray:
+    """Vectorised :func:`_zipf_word` over already-drawn LCG outputs."""
+    u = draws.astype(np.float64) / 0x1_0000_0000
+    return (u * u * words).astype(np.int64) % max(1, words)
 
 
 def _round_up(value: int, quantum: int = 64) -> int:

@@ -7,8 +7,11 @@ later job serves it from the store, hit counters increase) and every
 returned miss count equals direct in-process simulation.
 """
 
+import http.client
 import json
 import threading
+import time
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -58,6 +61,25 @@ class TestHTTPBasics:
     def test_health(self, service):
         _, client = service
         assert client.health() is True
+
+    def test_keep_alive_responses_do_not_stall(self, service):
+        # Headers and body leave in separate writes; with Nagle's
+        # algorithm on, each response on a kept-alive connection waits
+        # for the client's delayed ACK (about 40 ms on Linux).
+        _, client = service
+        url = urlsplit(client.base_url)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+        try:
+            start = time.perf_counter()
+            for _ in range(10):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.1
 
     def test_submit_wait_and_fetch(self, service):
         _, client = service

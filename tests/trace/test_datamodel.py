@@ -1,6 +1,9 @@
 """Unit tests for repro.trace.datamodel."""
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from repro.cache.config import WORD_BYTES
 from repro.errors import ConfigurationError
@@ -149,3 +152,68 @@ class TestZipfPattern:
         base = model.region_base(0)
         addr = model.wrong_path_address(0)
         assert base <= addr < base + 64 * 1024
+
+
+class TestVectorisedForms:
+    """The array forms of peek/wrong-path equal the scalar forms at every
+    state a stream passes through."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pattern=st.sampled_from(
+            ("sequential", "strided", "random", "zipf", "stack")
+        ),
+        words=st.integers(1, 2048),
+        stride_words=st.integers(1, 4096),
+        seed=st.integers(0, 2**32),
+        calls=st.integers(0, 120),
+    )
+    @example(pattern="sequential", words=1, stride_words=1, seed=0, calls=5)
+    @example(pattern="strided", words=8, stride_words=8, seed=3, calls=20)
+    @example(pattern="strided", words=8, stride_words=13, seed=3, calls=20)
+    @example(pattern="random", words=1, stride_words=1, seed=5, calls=5)
+    @example(pattern="zipf", words=1, stride_words=1, seed=5, calls=5)
+    @example(pattern="stack", words=1, stride_words=1, seed=7, calls=40)
+    @example(pattern="stack", words=20, stride_words=1, seed=7, calls=40)
+    @example(pattern="stack", words=32, stride_words=1, seed=7, calls=40)
+    @example(pattern="stack", words=33, stride_words=1, seed=7, calls=40)
+    def test_match_scalar_after_each_call(
+        self, pattern, words, stride_words, seed, calls
+    ):
+        spec = StreamSpec(
+            pattern, words * WORD_BYTES, stride_bytes=stride_words * WORD_BYTES
+        )
+        model = DataAddressModel({0: spec}, seed=seed)
+        states, positions, peeks, wrongs, nexts = [], [], [], [], []
+        for _ in range(calls + 1):
+            state, position = model.state(0)
+            states.append(state)
+            positions.append(position)
+            peeks.append(model.peek_next_address(0))
+            wrongs.append(model.wrong_path_address(0))
+            nexts.append(model.next_address(0))
+        states = np.array(states, dtype=np.uint32)
+        positions = np.array(positions, dtype=np.int64)
+        peeked = model.peek_next_addresses(0, states, positions)
+        wrong = model.wrong_path_addresses(0, states, positions)
+        assert peeked.dtype == wrong.dtype == np.int64
+        assert peeked.tolist() == peeks == nexts
+        assert wrong.tolist() == wrongs
+
+    def test_spill_stream(self):
+        model = DataAddressModel({}, seed=12)
+        states, positions, nexts = [], [], []
+        for _ in range(300):
+            state, position = model.state(SPILL_STREAM)
+            states.append(state)
+            positions.append(position)
+            nexts.append(model.next_address(SPILL_STREAM))
+        peeked = model.peek_next_addresses(
+            SPILL_STREAM, np.array(states), np.array(positions)
+        )
+        assert peeked.tolist() == nexts
+
+    def test_unknown_stream_rejected(self):
+        model = DataAddressModel({}, seed=1)
+        with pytest.raises(ConfigurationError, match="unknown stream"):
+            model.peek_next_addresses(5, np.zeros(1), np.zeros(1))
