@@ -13,9 +13,7 @@ the acceptance gate asserts a >= 5x speedup there.  A third section
 times the *whole-design-space* kernel
 (:class:`repro.cache.designspace.DesignSpaceSimulator`) on the full
 multi-line-size grid against cold per-line-size passes and against the
-seed path, and a fourth isolates the counting floor: one fused
-cross-size stack-distance dispatch against per-problem kernel calls
-over the identical prepared counting problems.  Results are written to
+seed path.  Results are written to
 ``benchmarks/results/BENCH_cheetah.json``.
 
 Runs two ways:
@@ -71,16 +69,6 @@ MIN_KERNEL_SPEEDUP = 3.0
 #: the best case.
 MIN_DESIGN_SPACE_SPEEDUP = 1.05
 MIN_DESIGN_SPACE_SEED_SPEEDUP = 7.0
-
-#: Floor for the fused cross-size counting dispatch vs per-problem
-#: kernel calls on the fused-counting grid below (short sampled trace,
-#: wide set ladder — the under-``FUSE_MAX_REFS`` regime the ``auto``
-#: cost model actually fuses).  Fusion replaces one dispatch per
-#: (line size, set count) with a single scan/expansion pass plus one
-#: segmented linking sort over the concatenation; measured 1.37-1.44x
-#: across idle runs, so the floor is the worst observed run with
-#: margin.
-MIN_FUSED_COUNTING_SPEEDUP = 1.15
 
 #: Floor for the chunked-trace streaming sweep vs the in-memory one-sort
 #: kernel on the streaming grid below.  The metric is a ratio with the
@@ -421,101 +409,6 @@ def run_design_space(trace, *, reps: int, seed_baseline: bool) -> dict:
     return report
 
 
-#: The fused-counting grid: the regime the fused dispatch targets — a
-#: short sampled trace (an epic prefix, the shape interactive estimates
-#: run on) crossed with a *wide* set-count ladder, so the tower yields
-#: many small counting problems whose concatenation stays under
-#: ``FUSE_MAX_REFS`` (the ``auto`` cost-model ceiling).  Above that
-#: ceiling per-size dispatch wins on cache residency and ``auto``
-#: doesn't fuse, so benchmarking there would time a forced
-#: configuration production never picks.
-FUSED_COUNTING_GRID = {
-    "trace_ranges": 16_000,
-    "line_sizes": [16, 32, 64, 128],
-    "set_counts": [16, 64, 256, 1024],
-    "max_assoc": 8,
-}
-
-
-def run_fused_counting(trace, *, reps: int) -> dict:
-    """Fused cross-size counting dispatch vs per-size dispatch.
-
-    Both sides count the *same* prepared problems (one
-    ``prepare_consume`` staging per line size, shared), so the timing
-    isolates exactly what fusion changes: N :func:`stack_distances`
-    calls against one :func:`stack_distances_fused` call over their
-    concatenation.  Every distance array is asserted bit-identical.
-    """
-    from repro.cache.linestream import line_stream
-    from repro.cache.stackdist import (
-        CountProblem,
-        stack_distances,
-        stack_distances_fused,
-    )
-
-    n_ranges = FUSED_COUNTING_GRID["trace_ranges"]
-    line_sizes = FUSED_COUNTING_GRID["line_sizes"]
-    set_counts = FUSED_COUNTING_GRID["set_counts"]
-    max_assoc = FUSED_COUNTING_GRID["max_assoc"]
-    starts = trace.starts[:n_ranges]
-    sizes = trace.sizes[:n_ranges]
-
-    clear_line_stream_cache()
-    problems = []
-    for line_size in line_sizes:
-        stream = line_stream(starts, sizes, line_size)
-        sim = CheetahSimulator(
-            line_size, set_counts, max_assoc, engine="kernel"
-        )
-        for prep in sim.prepare_consume(stream):
-            problems.append(
-                CountProblem(
-                    prep.part,
-                    prep.seg_lens,
-                    prep.fam.max_assoc,
-                    vmax=prep.vmax,
-                    links=prep.links,
-                )
-            )
-    clear_line_stream_cache()
-    refs = sum(len(p.part) for p in problems)
-
-    def per_size():
-        return [
-            stack_distances(
-                p.part, p.seg_lens, p.max_assoc, vmax=p.vmax, links=p.links
-            )
-            for p in problems
-        ]
-
-    def fused():
-        return stack_distances_fused(problems)[0]
-
-    expect = per_size()
-    got = fused()
-    for (want, _), (dist, _) in zip(expect, got):
-        assert np.array_equal(dist, want), "fused distances diverged"
-
-    best_reps = max(reps, 3)
-    per_size_seconds = _best_time(per_size, best_reps)
-    fused_seconds = _best_time(fused, best_reps)
-
-    return {
-        "trace_ranges": int(len(starts)),
-        "line_sizes": line_sizes,
-        "set_counts": set_counts,
-        "max_assoc": max_assoc,
-        "problems": len(problems),
-        "counted_refs": refs,
-        "bit_identical": True,
-        "per_size_seconds": round(per_size_seconds, 6),
-        "fused_seconds": round(fused_seconds, 6),
-        "fused_counting_speedup": round(
-            per_size_seconds / fused_seconds, 2
-        ),
-    }
-
-
 #: Streaming comparison grid: the design-space line sizes crossed with
 #: the primary set ladder at the assoc extremes — enough passes that the
 #: per-chunk state-carry overhead shows, small enough to time best-of-N.
@@ -684,7 +577,6 @@ def run_benchmark(*, reps: int = 5, oracle: bool = True) -> dict:
     primary = next(g for g in grids if g["primary"])
     kernel_grids = [run_kernel_grid(g, reps=reps) for g in KERNEL_GRIDS]
     design_space = run_design_space(trace, reps=reps, seed_baseline=oracle)
-    fused_counting = run_fused_counting(trace, reps=reps)
     streaming = run_streaming(trace, reps=reps)
     sampling = run_sampling(trace)
     return {
@@ -706,9 +598,6 @@ def run_benchmark(*, reps: int = 5, oracle: bool = True) -> dict:
             "design_space_seed_speedup"
         ),
         "design_space": design_space,
-        "min_required_fused_counting_speedup": MIN_FUSED_COUNTING_SPEEDUP,
-        "fused_counting_speedup": fused_counting["fused_counting_speedup"],
-        "fused_counting": fused_counting,
         "min_required_streaming_overhead": MIN_STREAMING_OVERHEAD,
         "streaming_overhead": streaming["streaming_overhead"],
         "streaming": streaming,
@@ -765,16 +654,6 @@ def render(report: dict) -> str:
             f"({ds['design_space_speedup']:.1f}x{seed}, "
             f"{ds['grid_points_checked']} grid points bit-identical)"
         )
-    fc = report.get("fused_counting")
-    if fc:
-        lines.append(
-            f"  [fused-counting] lines={fc['line_sizes']} "
-            f"sets={fc['set_counts']} ({fc['problems']} problems, "
-            f"{fc['counted_refs']} refs): per-size "
-            f"{fc['per_size_seconds']*1000:.2f}ms -> fused "
-            f"{fc['fused_seconds']*1000:.2f}ms "
-            f"({fc['fused_counting_speedup']:.2f}x, bit-identical)"
-        )
     st = report.get("streaming")
     if st:
         lines.append(
@@ -822,12 +701,6 @@ def test_cheetah_engine_speedup(results_dir):
         f"design-space-vs-seed speedup "
         f"{report['design_space_seed_speedup']}x below the "
         f"{MIN_DESIGN_SPACE_SEED_SPEEDUP}x acceptance floor"
-    )
-    assert (
-        report["fused_counting_speedup"] >= MIN_FUSED_COUNTING_SPEEDUP
-    ), (
-        f"fused-counting speedup {report['fused_counting_speedup']}x "
-        f"below the {MIN_FUSED_COUNTING_SPEEDUP}x acceptance floor"
     )
     assert report["streaming_overhead"] >= MIN_STREAMING_OVERHEAD, (
         f"streaming overhead ratio {report['streaming_overhead']} "
@@ -900,17 +773,6 @@ def main(argv: list[str] | None = None) -> int:
             f"FAIL: design-space-vs-seed speedup "
             f"{report['design_space_seed_speedup']}x "
             f"below the {MIN_DESIGN_SPACE_SEED_SPEEDUP}x floor",
-            file=sys.stderr,
-        )
-        return 1
-    if (
-        not args.smoke
-        and report["fused_counting_speedup"] < MIN_FUSED_COUNTING_SPEEDUP
-    ):
-        print(
-            f"FAIL: fused-counting speedup "
-            f"{report['fused_counting_speedup']}x "
-            f"below the {MIN_FUSED_COUNTING_SPEEDUP}x floor",
             file=sys.stderr,
         )
         return 1

@@ -12,8 +12,6 @@ compares the two headline ratios against the committed repo-root
   on the survivor-heavy synthetic grids;
 * ``design_space_speedup`` — whole-design-space kernel vs cold
   per-line-size passes on the full multi-line-size grid;
-* ``fused_counting_speedup`` — one fused cross-size stack-distance
-  dispatch vs per-problem kernel calls on the fused-counting grid;
 * ``streaming_overhead`` — in-memory sweep seconds over chunked-trace
   sweep seconds (higher is better; 0.5 means streaming costs 2x);
 * ``sampling_accuracy`` — 1 minus the max relative miss error of the
@@ -48,7 +46,6 @@ GUARDED_METRICS = (
     "primary_speedup",
     "kernel_speedup",
     "design_space_speedup",
-    "fused_counting_speedup",
     "streaming_overhead",
     "sampling_accuracy",
 )

@@ -59,6 +59,7 @@ benchmark baseline and property-test oracle.
 
 from __future__ import annotations
 
+import time
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -68,8 +69,8 @@ from repro.cache.config import CacheConfig
 from repro.cache.linestream import LineStream, line_stream
 from repro.cache.simulator import MissResult
 from repro.cache.stackdist import (
+    occurrence_links,
     partition_by_set,
-    radix_argsort,
     refine_partition,
     stack_distances,
 )
@@ -297,7 +298,7 @@ class CheetahSimulator:
         self,
         stream: LineStream,
         links: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> None:
+    ) -> float:
         """Feed a pre-expanded line stream to every stack family.
 
         ``links``, when given, is the precomputed previous-occurrence
@@ -306,47 +307,19 @@ class CheetahSimulator:
         exactly what the batch's own value sort would produce.  The
         whole-design-space simulator derives these for every line size
         from one shared sort (:mod:`repro.cache.designspace`), skipping
-        the per-simulator ``radix_argsort`` below.  Ignored when any
+        the per-simulator value sort below.  Ignored when any
         family carries LRU state from earlier batches (carried state
         splices in synthetic references and re-links internally).
-        """
-        journal = active_journal()
-        for prep in self.prepare_consume(stream, links):
-            fam = prep.fam
-            with journal.timed(
-                "stackdist", line_size=self.line_size, nsets=fam.nsets
-            ) as extra:
-                dist, info = stack_distances(
-                    prep.part, prep.seg_lens, fam.max_assoc,
-                    vmax=prep.vmax, links=prep.links,
-                )
-                extra.update(prep.fold(dist, info))
 
-    def prepare_consume(
-        self,
-        stream: LineStream,
-        links: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> list["_PreparedFamily"]:
-        """Stage a batch: per-family counting problems, kernels deferred.
-
-        Runs everything in :meth:`consume` *except* the stack-distance
-        kernels themselves — accesses accounting, the shared value sort,
-        the partition-refinement ladder, synthetic-state splicing and
-        dup compaction — and returns one :class:`_PreparedFamily` per
-        family still awaiting its kernel.  The caller must then run
-        :func:`repro.cache.stackdist.stack_distances` (or one fused
-        dispatch over many simulators' problems, see
-        :mod:`repro.cache.designspace`) on each problem and feed the
-        result to :meth:`_PreparedFamily.fold`.  Small batches that take
-        the scalar path are processed fully here and return ``[]``.
-        Preparation never depends on any deferred fold: the ladder
-        adopts *compacted* streams, which exist before the kernel runs.
+        Returns the wall seconds spent in this batch's per-family
+        stack-distance kernel calls (each journaled as one
+        ``stackdist`` event); 0.0 when the batch took the scalar path.
         """
         self._check_unsealed()
         self.accesses += stream.accesses
         n = len(stream.lines)
         if n == 0:
-            return []
+            return 0.0
         use_kernel = self.engine == "kernel" or (
             self.engine == "auto" and n > SCALAR_BATCH_LIMIT
         )
@@ -354,8 +327,9 @@ class CheetahSimulator:
             for fam in self._families.values():
                 _ensure_stacks(fam)
                 _process_family(fam, stream)
-            return []
+            return 0.0
 
+        journal = active_journal()
         lines = stream.lines
         vmax = stream.max_line if stream.min_line >= 0 else None
         # One value sort serves every family: link each reference to its
@@ -366,15 +340,9 @@ class CheetahSimulator:
         # re-link internally.)
         stream_links: tuple[np.ndarray, np.ndarray] | None = None
         if not self.carrying_state():
-            if links is not None:
-                stream_links = links
-            else:
-                order_v = radix_argsort(lines, vmax)
-                sv = lines[order_v]
-                # Mask-compress instead of materializing the (nearly
-                # full-length) index array of equal-value adjacencies.
-                same = sv[1:] == sv[:-1]
-                stream_links = (order_v[:-1][same], order_v[1:][same])
+            stream_links = (
+                links if links is not None else occurrence_links(lines, vmax)
+            )
         # Walk families by ascending set count so each partition can
         # refine the previous one (a stable per-bit split) when the set
         # counts double; wider jumps re-sort from scratch.  When a
@@ -388,7 +356,7 @@ class CheetahSimulator:
         part: np.ndarray | None = None
         seg_lens = seg_sets = order = None
         prev_nsets = 0
-        prepared: list[_PreparedFamily] = []
+        kernel_s = 0.0
         for fam in sorted(self._families.values(), key=lambda f: f.nsets):
             nsets = fam.nsets
             if (
@@ -410,20 +378,27 @@ class CheetahSimulator:
                     part, seg_lens, seg_sets, prev_nsets, nsets, order
                 )
             prev_nsets = nsets
-            prep, adopted = _prepare_family_kernel(
+            # Staging returns before the kernel runs, so its temporaries
+            # (dup masks, link inverses) are freed by then.
+            problem, adopted = _prepare_family(
                 fam, part, seg_lens, seg_sets,
                 order if ladder is lines else None,
                 stream_links if ladder is lines else None,
                 stream.repeats + ladder_dups, vmax,
             )
-            prepared.append(prep)
+            t0 = time.perf_counter()
+            with journal.timed(
+                "stackdist", line_size=self.line_size, nsets=nsets
+            ) as extra:
+                extra.update(_count_family(fam, seg_sets, *problem))
+            kernel_s += time.perf_counter() - t0
             if adopted is not None:
                 part, seg_lens, ndup = adopted
                 ladder = part
                 ladder_dups += ndup
                 order = None
                 stream_links = None
-        return prepared
+        return kernel_s
 
     def misses(self, sets: int, assoc: int) -> int:
         """Misses of cache C(sets, assoc, line_size) on the trace seen so far.
@@ -513,64 +488,7 @@ def _ensure_stacks(fam: _Family) -> None:
             pos += c
 
 
-class _PreparedFamily:
-    """One family's staged counting problem, awaiting its kernel result.
-
-    Produced by :func:`_prepare_family_kernel`; carries exactly the
-    argument tuple the family's :func:`stack_distances` call needs
-    (``part``/``seg_lens`` post splice/compaction, the mapped ``links``
-    or the ``vmax`` for a fresh sort) so callers can run the kernel
-    however they like — per family, or fused across many simulators —
-    and then :meth:`fold` the distances back into the family.
-    """
-
-    __slots__ = ("fam", "part", "seg_lens", "seg_sets", "links", "vmax", "nsyn")
-
-    def __init__(
-        self,
-        fam: _Family,
-        part: np.ndarray,
-        seg_lens: np.ndarray,
-        seg_sets: np.ndarray,
-        links: tuple[np.ndarray, np.ndarray] | None,
-        vmax: int | None,
-        nsyn: int,
-    ):
-        self.fam = fam
-        self.part = part
-        self.seg_lens = seg_lens
-        self.seg_sets = seg_sets
-        self.links = links
-        self.vmax = vmax
-        self.nsyn = nsyn
-
-    def fold(self, dist: np.ndarray, info: dict[str, Any]) -> dict[str, Any]:
-        """Fold one kernel result into the family's histogram and state.
-
-        Returns the telemetry dict journaled as the family's
-        ``stackdist`` (or fused-dispatch per-problem) stats.
-        """
-        fam = self.fam
-        A = fam.max_assoc
-        hist = fam.hist
-        counts = np.bincount(dist, minlength=A + 1)
-        for depth, cnt in enumerate(counts.tolist()):
-            if cnt:
-                hist[depth] += cnt
-        if self.nsyn:
-            hist[A] -= self.nsyn
-        fam.pending = (
-            self.part, self.seg_lens, self.seg_sets, info["recurs_idx"]
-        )
-        return {
-            "refs": int(info["refs"]),
-            "path": info["path"],
-            "window": int(info["window"]),
-            "residues": int(info["residues"]),
-        }
-
-
-def _prepare_family_kernel(
+def _prepare_family(
     fam: _Family,
     part: np.ndarray,
     seg_lens: np.ndarray,
@@ -579,7 +497,7 @@ def _prepare_family_kernel(
     stream_links: tuple[np.ndarray, np.ndarray] | None,
     repeats: int,
     vmax: int | None,
-) -> tuple[_PreparedFamily, tuple[np.ndarray, np.ndarray, int] | None]:
+) -> tuple[tuple, tuple[np.ndarray, np.ndarray, int] | None]:
     """Stage one family's batch for the offline stack-distance kernel.
 
     ``part``/``seg_lens``/``seg_sets``/``order`` describe the batch
@@ -589,16 +507,14 @@ def _prepare_family_kernel(
     coordinates (``None`` when carried LRU state forces re-linking, or
     when a coarser family already compacted the ladder stream).
 
-    Everything *except* the kernel itself happens here — repeat
-    crediting, synthetic-state splicing, dup compaction, link mapping —
-    so the returned :class:`_PreparedFamily` can be counted later (and
-    jointly with other families' problems, see
-    :func:`repro.cache.stackdist.stack_distances_fused`).
+    Everything except the kernel happens here — repeat crediting,
+    synthetic-state splicing, dup compaction, link mapping.
 
-    Returns ``(prepared, adopted)``: the staged problem, and — when this
-    family compacted within-set repeats out of a synthetic-free stream —
-    the compacted ``(part, seg_lens, ndup)`` for the caller to adopt as
-    the ladder stream for finer families, crediting the ``ndup`` removed
+    Returns ``(problem, adopted)``: the ``(part, seg_lens, links, vmax,
+    nsyn)`` arguments of :func:`_count_family`, and — when this family
+    compacted within-set repeats out of a synthetic-free stream — the
+    compacted ``(part, seg_lens, ndup)`` for the caller to adopt as the
+    ladder stream for finer families, crediting the ``ndup`` removed
     repeats to their depth-0 buckets (a within-set repeat for ``k`` sets
     is also one for ``2k`` sets: the finer set class is a subset, so the
     two references stay adjacent).
@@ -681,9 +597,37 @@ def _prepare_family_kernel(
     else:
         links = None
 
-    return _PreparedFamily(
-        fam, part, seg_lens, seg_sets, links, vmax, nsyn
-    ), adopted
+    return (part, seg_lens, links, vmax, nsyn), adopted
+
+
+def _count_family(
+    fam: _Family,
+    seg_sets: np.ndarray,
+    part: np.ndarray,
+    seg_lens: np.ndarray,
+    links: tuple[np.ndarray, np.ndarray] | None,
+    vmax: int | None,
+    nsyn: int,
+) -> dict[str, Any]:
+    """Run the stack-distance kernel on one staged family and fold the
+    distances into its histogram (minus the ``nsyn`` synthetic cold
+    references); returns the ``stackdist`` journal telemetry."""
+    A = fam.max_assoc
+    hist = fam.hist
+    dist, info = stack_distances(part, seg_lens, A, vmax=vmax, links=links)
+    counts = np.bincount(dist, minlength=A + 1)
+    for depth, cnt in enumerate(counts.tolist()):
+        if cnt:
+            hist[depth] += cnt
+    if nsyn:
+        hist[A] -= nsyn
+    fam.pending = (part, seg_lens, seg_sets, info["recurs_idx"])
+    return {
+        "refs": int(info["refs"]),
+        "path": info["path"],
+        "window": int(info["window"]),
+        "residues": int(info["residues"]),
+    }
 
 
 def _process_family(fam: _Family, stream: LineStream) -> None:

@@ -30,7 +30,7 @@ all (unless checkpointing needs a digest).  Otherwise, when the platform
 has POSIX shared memory, the arrays are materialized **once** into a
 refcounted shared segment and each job ships only a ~200-byte
 :class:`~repro.runtime.executor.SharedArrayHandle`; workers map the
-arrays zero-copy (``policy.trace_shipping`` selects the mode).
+arrays zero-copy; without it, each job pickles its own arrays.
 
 Sweeps can checkpoint completed groups into an
 :class:`~repro.explore.evalcache.EvaluationCache` (one durable flush per
@@ -476,16 +476,15 @@ def sweep_design_space(
         and strategy != "designspace"
     )
     # The whole-design-space simulator runs all pending line sizes from
-    # shared work; with count_parallelism > 1 it also owns the parallel
-    # fan-out of the per-size counting (through the same fault-tolerant
-    # pool), so a fault plan no longer forces the per-group path.
+    # shared work, in-process; a fault plan keeps the per-group path so
+    # injected faults reach the executor.
     use_designspace = (
         not parallel
         and (
             strategy == "designspace"
             or (strategy == "auto" and len(pending) > 1)
         )
-        and (policy.fault is None or policy.count_parallelism > 1)
+        and policy.fault is None
     )
     if use_designspace:
         starts, sizes = _materialize(trace)
@@ -493,8 +492,7 @@ def sweep_design_space(
             "trace_materialized", line_size="all", trace_ranges=len(starts)
         )
         space = DesignSpaceSimulator(
-            {line_size: meta[line_size] for line_size in pending},
-            policy=policy,
+            {line_size: meta[line_size] for line_size in pending}
         )
         space.simulate(starts, sizes)
         trace_ranges = len(starts)
@@ -509,9 +507,7 @@ def sweep_design_space(
                 where="serial",
                 trace_ranges=trace_ranges,
                 wall_s=round(space.consume_seconds[line_size], 6),
-                kernel_s=round(
-                    space.kernel_seconds.get(line_size, 0.0), 6
-                ),
+                kernel_s=round(space.kernel_seconds[line_size], 6),
             )
             if ck is not None:
                 ck.store(line_size, set_counts, max_assoc, state)
@@ -554,27 +550,17 @@ def sweep_design_space(
             journal.observe_cache(ck.cache, label="sweep-checkpoint")
         return results
 
-    # Resolve the shipping mode.  A picklable factory beats everything
+    # Choose the shipping mode.  A picklable factory beats everything
     # (workers materialize their own trace, the parent never holds the
     # arrays); otherwise shared memory materializes the arrays exactly
     # once and ships a ~200-byte handle per job; per-job pickling is the
-    # legacy fallback.  "shm"/"pickle" force their respective paths.
-    ship_factory = callable(trace) and _is_picklable(trace)
-    mode = policy.trace_shipping
-    if mode == "auto":
-        mode = (
-            "factory"
-            if ship_factory
-            else "shm" if shm_available() else "pickle"
-        )
-    elif mode == "shm":
-        if not shm_available():
-            raise RuntimeExecutionError(
-                "trace_shipping='shm' requested but POSIX shared memory "
-                "is unavailable on this platform"
-            )
-    elif ship_factory:  # "pickle": legacy behavior shipped the factory
+    # fallback where the platform has no POSIX shared memory.
+    if callable(trace) and _is_picklable(trace):
         mode = "factory"
+    elif shm_available():
+        mode = "shm"
+    else:
+        mode = "pickle"
 
     manager = shm_key = handle = None
     try:

@@ -27,10 +27,8 @@ Gives the repository's main flows a shell entry point:
 Common options: ``--scale`` (workload footprint multiplier),
 ``--visits`` (emulation budget), ``--benchmarks`` (subset),
 ``--max-workers``/``--job-timeout``/``--job-retries`` (parallel
-priming), ``--trace-shipping`` (zero-copy shared memory vs per-job
-pickling), ``--count-parallelism`` (multicore per-line-size
-stack-distance counting), ``--journal`` (structured JSON-lines run
-journal), ``--runs-db`` (record the command's results as a durable run
+priming), ``--journal`` (structured JSON-lines run journal),
+``--runs-db`` (record the command's results as a durable run
 in an analytics sqlite database, browsable with ``repro runs``).
 """
 
@@ -39,7 +37,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.experiments.runner import (
     RunnerSettings,
@@ -52,23 +50,34 @@ from repro.experiments.runner import (
     run_table4,
 )
 from repro.machine.presets import PAPER_PROCESSORS
-from repro.runtime.executor import TRACE_SHIPPING_MODES
 from repro.runtime.journal import RunJournal, use_journal
 from repro.workloads.suite import BENCHMARK_NAMES
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an int >= 1 (0/negatives are configuration errors,
-    not a silent request for serial execution)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {value}"
-        )
-    return value
+def _bounded(cast: type, ok: Callable, requirement: str) -> Callable:
+    """argparse type: ``cast(text)`` that must satisfy ``ok`` (0 or a
+    negative count is a configuration error, not a silent request for
+    serial execution or no retries)."""
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {cast.__name__} value: {text!r}"
+            )
+        if not ok(value):
+            raise argparse.ArgumentTypeError(
+                f"must be {requirement}, got {value}"
+            )
+        return value
+
+    return parse
+
+
+_positive_int = _bounded(int, lambda v: v >= 1, "a positive integer")
+_non_negative_int = _bounded(int, lambda v: v >= 0, "a non-negative integer")
+_positive_float = _bounded(float, lambda v: v > 0, "a positive number")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--job-timeout",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="SECONDS",
         help=(
@@ -115,31 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--job-retries",
-        type=int,
+        type=_non_negative_int,
         default=2,
         metavar="N",
         help="re-attempts per failed simulation pass (default: 2)",
-    )
-    common.add_argument(
-        "--trace-shipping",
-        choices=TRACE_SHIPPING_MODES,
-        default="auto",
-        help=(
-            "how parallel runs ship trace arrays to workers: 'auto' "
-            "prefers zero-copy shared memory, 'shm' requires it, "
-            "'pickle' forces per-job pickling (default: auto)"
-        ),
-    )
-    common.add_argument(
-        "--count-parallelism",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help=(
-            "worker processes for the per-line-size stack-distance "
-            "counting of multi-line-size sweeps (streams ship zero-copy; "
-            "default: 1, in-process)"
-        ),
     )
     common.add_argument(
         "--journal",
@@ -508,8 +496,6 @@ def _settings(args: argparse.Namespace) -> RunnerSettings:
         max_workers=args.max_workers,
         job_timeout=args.job_timeout,
         job_retries=args.job_retries,
-        trace_shipping=getattr(args, "trace_shipping", "auto"),
-        count_parallelism=getattr(args, "count_parallelism", 1),
     )
 
 

@@ -50,6 +50,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from multiprocessing import resource_tracker, shared_memory
+from numbers import Integral, Real
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
 import numpy as np
@@ -65,7 +66,6 @@ __all__ = [
     "JobResult",
     "SharedArrayHandle",
     "SharedSegmentManager",
-    "TRACE_SHIPPING_MODES",
     "run_jobs",
     "segment_manager",
     "shm_available",
@@ -74,8 +74,10 @@ __all__ = [
 #: Clock slack when deciding whether an in-flight job has timed out.
 _TIMEOUT_SLACK = 1e-3
 
-#: Valid values of :attr:`ExecutorPolicy.trace_shipping`.
-TRACE_SHIPPING_MODES = ("auto", "shm", "pickle")
+
+def _is_int(value: Any) -> bool:
+    """An integer that is not a bool (numpy integers count)."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 class InjectedWorkerFault(RuntimeError):
@@ -122,20 +124,9 @@ class ExecutorPolicy:
     times before it is declared failed.  ``timeout`` is per attempt, in
     seconds (None disables; unenforceable in serial fallback).
     ``backoff`` is the base of an exponential delay between attempts.
-
-    ``trace_shipping`` selects how callers ship large read-only arrays
-    to workers: ``"auto"`` prefers zero-copy shared memory when the
-    platform supports it, ``"shm"`` requires it, ``"pickle"`` forces the
-    legacy per-job pickling path.  The executor itself only validates
-    and carries the knob; call sites (e.g.
-    :func:`repro.cache.sweep.sweep_design_space`) resolve it.
-
-    ``count_parallelism`` fans the per-line-size stack-distance
-    *counting* of a multi-line-size batch out over this many workers
-    (shm-backed streams, deterministic fold order); 1 keeps counting
-    in-process.  Like ``trace_shipping`` it is carried here and
-    resolved by the call sites
-    (:class:`repro.cache.designspace.DesignSpaceSimulator`).
+    ``max_workers`` is None (serial) or at least 1.  Out-of-range or
+    mistyped values raise :class:`RuntimeExecutionError` at
+    construction, not halfway through a run.
     """
 
     max_workers: int | None = None
@@ -144,18 +135,26 @@ class ExecutorPolicy:
     backoff: float = 0.05
     serial_fallback: bool = True
     fault: FaultPlan | None = None
-    trace_shipping: str = "auto"
-    count_parallelism: int = 1
 
     def __post_init__(self) -> None:
-        if self.trace_shipping not in TRACE_SHIPPING_MODES:
+        if self.max_workers is not None and not (
+            _is_int(self.max_workers) and self.max_workers >= 1
+        ):
             raise RuntimeExecutionError(
-                f"unknown trace shipping mode {self.trace_shipping!r}; "
-                f"expected one of {', '.join(TRACE_SHIPPING_MODES)}"
+                "max_workers must be None or an integer >= 1, "
+                f"got {self.max_workers!r}"
             )
-        if self.count_parallelism < 1:
+        if self.timeout is not None and not (
+            isinstance(self.timeout, Real)
+            and not isinstance(self.timeout, bool)
+            and self.timeout > 0
+        ):
             raise RuntimeExecutionError(
-                f"count_parallelism must be >= 1, got {self.count_parallelism}"
+                f"timeout must be None or a number > 0, got {self.timeout!r}"
+            )
+        if not (_is_int(self.retries) and self.retries >= 0):
+            raise RuntimeExecutionError(
+                f"retries must be an integer >= 0, got {self.retries!r}"
             )
 
     def fault_kind(self, key: Hashable, attempt: int) -> str | None:

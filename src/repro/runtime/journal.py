@@ -11,7 +11,9 @@ any event type):
 
 ``pass``
     One single-pass cache simulation: ``role``, ``line_size``,
-    ``trace_ranges``, ``wall_s``, ``where`` (``"serial"``/``"worker"``).
+    ``trace_ranges``, ``wall_s``, ``where`` (``"serial"``/``"worker"``);
+    in-process sweep passes add ``kernel_s``, their stack-distance
+    kernel share.
 ``stackdist``
     One stack-distance kernel invocation (one stack family inside a
     batch consume): ``line_size``, ``nsets``, ``refs``, ``path``
@@ -32,16 +34,7 @@ any event type):
 ``designspace``
     One whole-design-space tower consume (one shared sort serving a
     ladder of line sizes): ``line_sizes``, ``refs``, ``mode``
-    (``"links"``/``"streams"``, prefixed ``"fused-"`` when the tower's
-    counting ran as one fused dispatch, or ``"parallel"`` when the
-    per-size counting fanned out over workers), ``sorts``, ``splits``,
-    ``wall_s``.
-``stackdist_fused``
-    One fused stack-distance dispatch (every family of a tower counted
-    by one kernel pass, :func:`repro.cache.stackdist.stack_distances_fused`):
-    ``line_sizes``, ``problems``, ``refs``, ``sorted_refs``,
-    ``dominance_refs``, ``window``, ``residues``, ``by_path``, per-tier
-    ``sort_s``/``scan_s``/``expand_s``/``dominance_s``, ``wall_s``.
+    (``"links"``/``"streams"``), ``sorts``, ``splits``, ``wall_s``.
 ``shm_segment``
     Shared-memory segment lifecycle in the parent: ``action``
     (``"create"``/``"reuse"``/``"unlink"``), ``key``, ``segment``,
@@ -253,41 +246,6 @@ class RunJournal:
                 ),
                 "by_mode": _count_by(towers, "mode"),
             }
-        fused = self.select("stackdist_fused")
-        if fused:
-            merged_paths: dict[str, int] = {}
-            for e in fused:
-                for name, n in e.get("by_path", {}).items():
-                    merged_paths[name] = merged_paths.get(name, 0) + int(n)
-            summary["stackdist_fused"] = {
-                "dispatches": len(fused),
-                "problems": sum(int(e.get("problems", 0)) for e in fused),
-                "refs": sum(int(e.get("refs", 0)) for e in fused),
-                "sorted_refs": sum(
-                    int(e.get("sorted_refs", 0)) for e in fused
-                ),
-                "dominance_refs": sum(
-                    int(e.get("dominance_refs", 0)) for e in fused
-                ),
-                "residues": sum(int(e.get("residues", 0)) for e in fused),
-                "by_path": merged_paths,
-                "tiers": _tier_counts(merged_paths),
-                "sort_s": round(
-                    sum(e.get("sort_s", 0.0) for e in fused), 6
-                ),
-                "scan_s": round(
-                    sum(e.get("scan_s", 0.0) for e in fused), 6
-                ),
-                "expand_s": round(
-                    sum(e.get("expand_s", 0.0) for e in fused), 6
-                ),
-                "dominance_s": round(
-                    sum(e.get("dominance_s", 0.0) for e in fused), 6
-                ),
-                "wall_s": round(
-                    sum(e.get("wall_s", 0.0) for e in fused), 6
-                ),
-            }
         attaches = self.select("shm_attach")
         segments = self.select("shm_segment")
         if attaches or segments:
@@ -396,19 +354,6 @@ class RunJournal:
                 f"stack-distance kernel: {k['count']} families "
                 f"({k['refs']} refs, {k['wall_s']:.3f} s; "
                 f"tiers: {tiers}; residues={k['residues']})"
-            )
-        kf = s.get("stackdist_fused")
-        if kf:
-            tiers = ", ".join(
-                f"{name}={n}" for name, n in kf["tiers"].items()
-            )
-            lines.append(
-                f"fused stack-distance dispatches: {kf['dispatches']} "
-                f"({kf['problems']} problems, {kf['refs']} refs, "
-                f"{kf['wall_s']:.3f} s = sort {kf['sort_s']:.3f} + "
-                f"scan {kf['scan_s']:.3f} + expand {kf['expand_s']:.3f} + "
-                f"dominance {kf['dominance_s']:.3f}; "
-                f"tiers: {tiers}; residues={kf['residues']})"
             )
         j = s["jobs"]
         lines.append(

@@ -49,11 +49,11 @@ Every spec is *content-addressed*: :func:`trace_key` is a digest of the
 canonical spec JSON, so two clients submitting the same trace (however
 phrased) share store entries.
 
-All execution knobs (``max_workers``, ``job_timeout``, ``job_retries``,
-``trace_shipping``, ``count_parallelism``)
+All execution knobs (``max_workers``, ``job_timeout``, ``job_retries``)
 route into :class:`repro.runtime.executor.ExecutorPolicy`, so service
 jobs inherit the fault-tolerant runtime: per-pass timeouts, bounded
-retries, fault injection and journal events all carry over.
+retries, fault injection and journal events all carry over.  The
+policy is built (and so range-checked) at submission.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ import numpy as np
 
 from repro.cache.config import CacheConfig
 from repro.cache.sweep import sampled_sweep_design_space, sweep_design_space
-from repro.errors import ReproError, ServiceError
+from repro.errors import ReproError, RuntimeExecutionError, ServiceError
 from repro.runtime.executor import ExecutorPolicy
 from repro.runtime.journal import RunJournal, resolve_journal
 from repro.service.store import ResultStore, StoreEvaluationCache
@@ -314,17 +314,37 @@ def validate_spec(spec: Any) -> dict[str, Any]:
             raise ServiceError(f"unknown role {role!r}")
     else:  # explore
         _require(spec, "benchmark", kind)
+    spec_policy(spec)
     return spec
 
 
 def spec_policy(spec: dict[str, Any]) -> ExecutorPolicy:
-    """The fault-tolerance policy a job spec asks for."""
-    return ExecutorPolicy(
-        max_workers=spec.get("max_workers"),
-        timeout=spec.get("job_timeout"),
-        retries=int(spec.get("job_retries", 2)),
-        trace_shipping=str(spec.get("trace_shipping", "auto")),
-        count_parallelism=int(spec.get("count_parallelism", 1)),
+    """The fault-tolerance policy a job spec asks for.
+
+    Raises :class:`ServiceError` when ``max_workers``, ``job_timeout``
+    or ``job_retries`` is mistyped or out of range.
+    """
+    try:
+        return ExecutorPolicy(
+            max_workers=spec.get("max_workers"),
+            timeout=spec.get("job_timeout"),
+            retries=spec.get("job_retries", 2),
+        )
+    except RuntimeExecutionError as exc:
+        raise ServiceError(f"bad execution policy: {exc}") from exc
+
+
+def _spec_settings(spec: dict[str, Any]):
+    """Experiment-runner settings for a benchmark-backed job spec."""
+    from repro.experiments.runner import RunnerSettings
+
+    policy = spec_policy(spec)
+    return RunnerSettings(
+        scale=float(spec.get("scale", 1.0)),
+        max_visits=int(spec.get("visits", 60_000)),
+        max_workers=policy.max_workers,
+        job_timeout=policy.timeout,
+        job_retries=policy.retries,
     )
 
 
@@ -536,21 +556,13 @@ def _execute_sweep(
 def _execute_estimate(
     spec: dict[str, Any], store: ResultStore, journal: RunJournal
 ) -> dict[str, Any]:
-    from repro.experiments.runner import RunnerSettings, get_pipeline
+    from repro.experiments.runner import get_pipeline
 
     benchmark = spec["benchmark"]
     role = spec.get("role", "icache")
     configs = parse_configs(spec["configs"])
     dilations = [float(d) for d in spec.get("dilations", [1.0])]
-    settings = RunnerSettings(
-        scale=float(spec.get("scale", 1.0)),
-        max_visits=int(spec.get("visits", 60_000)),
-        max_workers=spec.get("max_workers"),
-        job_timeout=spec.get("job_timeout"),
-        job_retries=int(spec.get("job_retries", 2)),
-        trace_shipping=str(spec.get("trace_shipping", "auto")),
-        count_parallelism=int(spec.get("count_parallelism", 1)),
-    )
+    settings = _spec_settings(spec)
     bench_id = (
         f"{benchmark}:scale={settings.scale:g}:visits={settings.max_visits}"
     )
@@ -628,19 +640,11 @@ def _system_space(overrides: dict[str, Any] | None):
 def _execute_explore(
     spec: dict[str, Any], store: ResultStore, journal: RunJournal
 ) -> dict[str, Any]:
-    from repro.experiments.runner import RunnerSettings, get_pipeline
+    from repro.experiments.runner import get_pipeline
     from repro.explore.spacewalker import Spacewalker
 
     benchmark = spec["benchmark"]
-    settings = RunnerSettings(
-        scale=float(spec.get("scale", 1.0)),
-        max_visits=int(spec.get("visits", 60_000)),
-        max_workers=spec.get("max_workers"),
-        job_timeout=spec.get("job_timeout"),
-        job_retries=int(spec.get("job_retries", 2)),
-        trace_shipping=str(spec.get("trace_shipping", "auto")),
-        count_parallelism=int(spec.get("count_parallelism", 1)),
-    )
+    settings = _spec_settings(spec)
     space = _system_space(spec.get("space"))
     try:
         pipeline = get_pipeline(benchmark, settings)

@@ -303,3 +303,38 @@ def test_stack_distances_links_shortcut_matches_internal_sort():
         with_links, _ = stack_distances(part, seg_lens, max_assoc, links=links)
         without, _ = stack_distances(part, seg_lens, max_assoc)
         assert np.array_equal(with_links, without)
+
+
+#: Kernel knobs forcing each tier: adaptive default, heavy expansion,
+#: dominance fallback.
+TIER_KWARGS = (
+    {},
+    {"base_window": 1, "max_window": 1},
+    {"base_window": 1, "max_window": 1, "expand_budget": 8},
+)
+
+
+@pytest.mark.parametrize(
+    "lines,nsets",
+    [
+        (np.empty(0, dtype=np.int64), 1),
+        (np.empty(0, dtype=np.int64), 8),
+        (np.array([7], dtype=np.int64), 1),
+        (np.array([7], dtype=np.int64), 8),
+    ],
+    ids=["empty", "empty-8-sets", "single-reference", "single-reference-8-sets"],
+)
+@pytest.mark.parametrize("max_assoc", [1, 4])
+def test_degenerate_streams_every_tier(lines, nsets, max_assoc):
+    # Empty and single-reference streams: nothing to link, no window to
+    # scan; every tier must still agree with the oracle (a lone
+    # reference is a cold miss) and report no recurring positions.
+    part, seg_lens, _, _ = partition_by_set(lines, nsets)
+    for tier in TIER_KWARGS:
+        dist, info = stack_distances(
+            part, seg_lens, max_assoc, vmax=7, **tier
+        )
+        got = np.bincount(dist, minlength=max_assoc + 1).tolist()
+        assert got == oracle_hist(part, seg_lens, max_assoc)
+        assert len(info["recurs_idx"]) == 0
+        assert info["refs"] == len(lines)

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.cache.sweep as sweep_mod
 from repro.cache.config import CacheConfig
 from repro.cache.sweep import sweep_design_space
 from repro.errors import ConfigurationError, RuntimeExecutionError
@@ -219,16 +220,19 @@ class TestTraceResidency:
         assert results == BASELINE
         assert len(calls) == (1 if shm_available() else 3)
 
-    def test_factory_called_per_group_with_pickle_shipping(self):
-        """Legacy pickling materializes per submission, not all upfront."""
+    def test_factory_called_per_group_with_pickle_shipping(
+        self, monkeypatch
+    ):
+        """Without shared memory, pickling materializes per submission,
+        not all upfront."""
+        monkeypatch.setattr(sweep_mod, "shm_available", lambda: False)
         calls = []
 
         def factory():
             calls.append(1)
             return trace()
 
-        policy = ExecutorPolicy(max_workers=2, trace_shipping="pickle")
-        results = sweep_design_space(CONFIGS, factory, policy=policy)
+        results = sweep_design_space(CONFIGS, factory, max_workers=2)
         assert results == BASELINE
         assert len(calls) == 3  # closure is unpicklable -> parent, per group
 
@@ -236,14 +240,14 @@ class TestTraceResidency:
         results = sweep_design_space(CONFIGS, trace, max_workers=2)
         assert results == BASELINE
 
-    def test_journal_shows_late_materialization(self):
+    def test_journal_shows_late_materialization(self, monkeypatch):
+        monkeypatch.setattr(sweep_mod, "shm_available", lambda: False)
         journal = RunJournal()
 
         def factory():
             return trace()
 
-        policy = ExecutorPolicy(max_workers=2, trace_shipping="pickle")
-        sweep_design_space(CONFIGS, factory, policy=policy, journal=journal)
+        sweep_design_space(CONFIGS, factory, max_workers=2, journal=journal)
         events = journal.select("trace_materialized")
         assert len(events) == 3
         assert {e["line_size"] for e in events} == {16, 32, 64}

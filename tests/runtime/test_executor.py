@@ -31,6 +31,43 @@ def values(results):
 EXPECTED = {i: i * i for i in range(6)}
 
 
+class TestPolicyValidation:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("max_workers", 0),
+            ("max_workers", -2),
+            ("max_workers", "abc"),
+            ("max_workers", 2.0),
+            ("max_workers", True),
+            ("timeout", 0),
+            ("timeout", -5),
+            ("timeout", "soon"),
+            ("timeout", float("nan")),
+            ("retries", -1),
+            ("retries", "x"),
+            ("retries", 1.5),
+        ],
+    )
+    def test_out_of_range_fields_rejected(self, field, value):
+        with pytest.raises(RuntimeExecutionError, match=field):
+            ExecutorPolicy(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        import numpy as np
+
+        policy = ExecutorPolicy(max_workers=1, timeout=0.001, retries=0)
+        assert (policy.max_workers, policy.timeout, policy.retries) == (
+            1, 0.001, 0,
+        )
+        assert ExecutorPolicy(max_workers=np.int64(2), timeout=3).timeout == 3
+        assert ExecutorPolicy().max_workers is None
+
+    def test_with_workers_validates(self):
+        with pytest.raises(RuntimeExecutionError, match="max_workers"):
+            ExecutorPolicy().with_workers(0)
+
+
 class TestSerial:
     def test_serial_results(self):
         results = run_jobs(make_jobs())

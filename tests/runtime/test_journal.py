@@ -143,16 +143,12 @@ class TestFullVocabularySummary:
         j.record("sampled_pass", role="sampled-sweep", line_size=16,
                  intervals=3, sampled_ranges=120, trace_ranges=1200,
                  wall_s=0.05)
-        # Stack-distance kernels: per-family and fused dispatch.
+        # Stack-distance kernel: one event per family.
         j.record("stackdist", line_size=16, refs=500, wall_s=0.1,
                  path="kernel", residues=2)
-        j.record("stackdist_fused", problems=3, refs=900, sorted_refs=900,
-                 dominance_refs=100, residues=1, wall_s=0.2, sort_s=0.08,
-                 scan_s=0.06, expand_s=0.04, dominance_s=0.02,
-                 by_path={"kernel": 2, "scalar": 1})
         # Design-space tower derivation.
         j.record("designspace", line_sizes=[16, 32, 64], sorts=1, splits=2,
-                 wall_s=0.12, mode="fused-batch")
+                 wall_s=0.12, mode="links")
         # Executor lifecycle: jobs, faults, retries, fallback.
         j.record("job", key="a", attempts=1, wall_s=0.5, where="worker")
         j.record("job_failed", key="b", attempts=3, error="boom")
@@ -196,12 +192,10 @@ class TestFullVocabularySummary:
 
     def test_summary_covers_every_family(self):
         s = self.build().summary()
-        assert s["events"] == 30
+        assert s["events"] == 29
         assert s["passes"]["count"] == 2
         assert s["passes"]["by_where"] == {"serial": 1, "worker": 1}
         assert s["stackdist"]["count"] == 1
-        assert s["stackdist_fused"]["problems"] == 3
-        assert s["stackdist_fused"]["by_path"] == {"kernel": 2, "scalar": 1}
         assert s["designspace"]["towers"] == 1
         assert s["designspace"]["line_sizes"] == 3
         assert s["jobs"] == {
@@ -239,7 +233,6 @@ class TestFullVocabularySummary:
         for needle in (
             "simulation passes: 2",
             "stack-distance kernel: 1 families",
-            "fused stack-distance dispatches: 1",
             "jobs: 1 completed, 1 failed, 1 retries, 1 timeouts",
             "design-space towers: 1",
             "trace shipping: 1 shm jobs",

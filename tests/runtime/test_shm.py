@@ -11,6 +11,8 @@ import pickle
 import numpy as np
 import pytest
 
+import repro.cache.sweep as sweep_mod
+import repro.explore.evaluators as evaluators_mod
 from repro.cache.config import CacheConfig
 from repro.cache.sweep import sweep_design_space
 from repro.errors import RuntimeExecutionError
@@ -99,23 +101,13 @@ class TestHandle:
                 pass
 
 
-class TestPolicy:
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(RuntimeExecutionError, match="shipping mode"):
-            ExecutorPolicy(trace_shipping="zeromq")
-
-    def test_modes_accepted(self):
-        for mode in ("auto", "shm", "pickle"):
-            assert ExecutorPolicy(trace_shipping=mode).trace_shipping == mode
-
-
 class TestSweepHygiene:
     def baseline(self):
         return sweep_design_space(CONFIGS, trace(), strategy="perline")
 
     def test_clean_parallel_sweep_no_leak(self):
         journal = RunJournal()
-        policy = ExecutorPolicy(max_workers=2, trace_shipping="shm")
+        policy = ExecutorPolicy(max_workers=2)
         results = sweep_design_space(
             CONFIGS, trace(), policy=policy, journal=journal
         )
@@ -123,17 +115,19 @@ class TestSweepHygiene:
         assert segment_manager().active() == {}
         assert_unlinked(journal)
 
-    def test_shm_results_identical_to_pickle(self):
+    def test_shm_results_identical_to_pickle(self, monkeypatch):
         shm = sweep_design_space(
-            CONFIGS,
-            trace(),
-            policy=ExecutorPolicy(max_workers=2, trace_shipping="shm"),
+            CONFIGS, trace(), policy=ExecutorPolicy(max_workers=2)
         )
+        monkeypatch.setattr(sweep_mod, "shm_available", lambda: False)
+        journal = RunJournal()
         pickled = sweep_design_space(
             CONFIGS,
             trace(),
-            policy=ExecutorPolicy(max_workers=2, trace_shipping="pickle"),
+            policy=ExecutorPolicy(max_workers=2),
+            journal=journal,
         )
+        assert journal.select("trace_shipping")[0]["mode"] == "pickle"
         assert shm == pickled
 
     def test_worker_kill_no_leak(self):
@@ -143,7 +137,6 @@ class TestSweepHygiene:
             max_workers=2,
             retries=2,
             backoff=0.0,
-            trace_shipping="shm",
             fault=FaultPlan(kind="exit", match="32", times=1),
         )
         results = sweep_design_space(
@@ -161,7 +154,6 @@ class TestSweepHygiene:
             max_workers=2,
             retries=1,
             backoff=0.0,
-            trace_shipping="shm",
             fault=FaultPlan(kind="exit", match="", times=1),
         )
         results = sweep_design_space(
@@ -178,7 +170,6 @@ class TestSweepHygiene:
             max_workers=2,
             retries=0,
             backoff=0.0,
-            trace_shipping="shm",
             fault=FaultPlan(kind="raise", match="", times=99),
         )
         with pytest.raises(RuntimeExecutionError):
@@ -190,7 +181,7 @@ class TestSweepHygiene:
 
     def test_journal_counts_bytes_saved(self):
         journal = RunJournal()
-        policy = ExecutorPolicy(max_workers=2, trace_shipping="shm")
+        policy = ExecutorPolicy(max_workers=2)
         sweep_design_space(CONFIGS, trace(), policy=policy, journal=journal)
         summary = journal.summary()["trace_shipping"]
         assert summary["shm_jobs"] == 3  # one per distinct line size
@@ -203,7 +194,7 @@ class TestSweepHygiene:
 
 
 class TestPrimeShipping:
-    def test_prime_parallel_uses_shm_and_cleans_up(self):
+    def test_prime_parallel_uses_shm_and_cleans_up(self, monkeypatch):
         from repro.explore.evaluators import MemoryEvaluator
         from repro.trace.ranges import KIND_DATA, KIND_INSTR, RangeTrace
 
@@ -244,11 +235,11 @@ class TestPrimeShipping:
         assert segment_manager().active() == {}
         assert_unlinked(journal)
 
+        monkeypatch.setattr(evaluators_mod, "shm_available", lambda: False)
         pickle_ev = build()
-        pickle_ev.prime(
-            max_workers=2,
-            policy=ExecutorPolicy(max_workers=2, trace_shipping="pickle"),
-        )
+        pickle_journal = RunJournal()
+        pickle_ev.prime(max_workers=2, journal=pickle_journal)
+        assert pickle_journal.select("trace_shipping")[0]["mode"] == "pickle"
         for role in ("icache", "dcache"):
             for config in configs:
                 assert shm_ev.simulated_misses(role, config) == (

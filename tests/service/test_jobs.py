@@ -140,6 +140,26 @@ class TestValidateSpec:
         )
         validate_spec({"kind": "explore", "benchmark": "085.gcc"})
 
+    def test_accepts_policy_fields(self):
+        validate_spec(
+            sweep_spec(max_workers=2, job_timeout=1.5, job_retries=0)
+        )
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("job_retries", "x"),
+            ("job_retries", -1),
+            ("max_workers", "abc"),
+            ("max_workers", 0),
+            ("job_timeout", "soon"),
+            ("job_timeout", 0),
+        ],
+    )
+    def test_rejects_bad_policy_fields(self, field, value):
+        with pytest.raises(ServiceError, match="execution policy"):
+            validate_spec(sweep_spec(**{field: value}))
+
     def test_rejects_non_object(self):
         with pytest.raises(ServiceError, match="JSON object"):
             validate_spec([1, 2])

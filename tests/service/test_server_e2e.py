@@ -112,6 +112,22 @@ class TestHTTPBasics:
         with pytest.raises(ServiceError, match="HTTP 400"):
             client.submit({"kind": "transmogrify"})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("job_retries", "x"),
+            ("job_retries", -1),
+            ("max_workers", "abc"),
+            ("job_timeout", "soon"),
+        ],
+    )
+    def test_bad_policy_field_is_http_400(self, service, field, value):
+        svc, client = service
+        spec = {**sweep_spec([8]), field: value}
+        with pytest.raises(ServiceError, match="HTTP 400.*execution policy"):
+            client.submit(spec)
+        assert sum(svc.queue.counts().values()) == 0
+
     def test_unknown_job_is_http_404(self, service):
         _, client = service
         with pytest.raises(ServiceError, match="HTTP 404"):

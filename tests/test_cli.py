@@ -175,6 +175,26 @@ class TestExecutorOptions:
         assert policy.timeout == 9
         assert policy.retries == 1
 
+    def test_zero_retries_accepted(self):
+        args = build_parser().parse_args(["table2", "--job-retries", "0"])
+        assert args.job_retries == 0
+
+    @pytest.mark.parametrize(
+        "flag,bad",
+        [
+            ("--job-retries", "-1"),
+            ("--job-retries", "1.5"),
+            ("--job-timeout", "0"),
+            ("--job-timeout", "-5"),
+            ("--job-timeout", "soon"),
+        ],
+    )
+    def test_out_of_range_policy_flags_rejected(self, flag, bad, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", flag, bad])
+        err = capsys.readouterr().err
+        assert flag in err
+
 
 class TestExploreAllBenchmarks:
     def _patch_tiny(self, monkeypatch, tiny_pipeline):
