@@ -1,8 +1,8 @@
 """Micro-benchmarks: substrate throughput regression tracking.
 
 Not paper experiments — these time the hot kernels (direct simulation,
-single-pass multi-configuration simulation, emulation, AHH parameter
-extraction) on a fixed mid-size input so performance regressions in the
+single-pass multi-configuration simulation, emulation, compile and
+assemble, AHH parameter extraction) on a fixed mid-size input so performance regressions in the
 substrate are visible in CI output.
 """
 
@@ -14,7 +14,12 @@ from repro.cache.cheetah import CheetahSimulator
 from repro.cache.config import CacheConfig
 from repro.cache.simulator import simulate_trace
 from repro.experiments.runner import get_pipeline
+from repro.iformat.assembler import assemble
+from repro.iformat.format_synth import synthesize_format
+from repro.machine.mdes import MachineDescription
+from repro.machine.presets import P6332
 from repro.trace.emulator import Emulator
+from repro.vliwcomp.compile import compile_program
 from repro.workloads.suite import load_benchmark
 
 
@@ -61,6 +66,22 @@ def test_micro_emulation(benchmark):
 
     visits = benchmark(run)
     assert visits > 0
+
+
+@pytest.mark.benchmark(group="micro")
+def test_micro_compile_assemble(benchmark):
+    """Front-end throughput: compile and assemble epic for 6332."""
+    program = load_benchmark("epic").program
+
+    def run():
+        # A fresh mdes and format per round: a format memoises its
+        # template selections, so every round starts cold.
+        mdes = MachineDescription(P6332)
+        compiled = compile_program(program, mdes)
+        return assemble(compiled, synthesize_format(mdes)).text_bytes
+
+    text_bytes = benchmark(run)
+    assert text_bytes > 0
 
 
 @pytest.mark.benchmark(group="micro")

@@ -52,6 +52,16 @@ from repro.workloads.suite import Workload
 
 
 @dataclass(frozen=True)
+class ProcessorBuild:
+    """The emulation-free artifacts of one (workload, processor) pair:
+    what text sizes and dilations need."""
+
+    mdes: MachineDescription
+    compiled: CompiledProgram
+    binary: Binary
+
+
+@dataclass(frozen=True)
 class ProcessorArtifacts:
     """Everything derived for one (workload, processor) pair."""
 
@@ -99,6 +109,7 @@ class ExperimentPipeline:
         self.max_workers = max_workers
         #: Fault-tolerance knobs for parallel priming (timeout/retries).
         self.policy = (policy or ExecutorPolicy()).with_workers(max_workers)
+        self._builds: dict[str, ProcessorBuild] = {}
         self._artifacts: dict[str, ProcessorArtifacts] = {}
         # One emulator per pipeline: its walk is processor-independent,
         # so every processor's event trace decorates the same walk.
@@ -156,9 +167,9 @@ class ExperimentPipeline:
     # Artifact construction.
     # ------------------------------------------------------------------
 
-    def artifacts(self, processor: VliwProcessor) -> ProcessorArtifacts:
-        """Compile, assemble, link, emulate and trace for ``processor``."""
-        cached = self._artifacts.get(processor.name)
+    def build(self, processor: VliwProcessor) -> ProcessorBuild:
+        """Compile, assemble and link for ``processor`` (no emulation)."""
+        cached = self._builds.get(processor.name)
         if cached is not None:
             return cached
         if not processor.compatible_reference(self.reference):
@@ -177,6 +188,17 @@ class ExperimentPipeline:
             packet_bytes=processor.issue_width * WORD_BYTES,
             processor_name=processor.name,
         )
+        built = ProcessorBuild(mdes=mdes, compiled=compiled, binary=binary)
+        self._builds[processor.name] = built
+        return built
+
+    def artifacts(self, processor: VliwProcessor) -> ProcessorArtifacts:
+        """Build, emulate and trace for ``processor``."""
+        cached = self._artifacts.get(processor.name)
+        if cached is not None:
+            return cached
+        built = self.build(processor)
+        compiled, binary = built.compiled, built.binary
         if self._emulator is None:
             self._emulator = Emulator(
                 self.workload.program, self.workload.streams, seed=self.seed
@@ -185,7 +207,7 @@ class ExperimentPipeline:
         generator = TraceGenerator(binary, events)
         artifacts = ProcessorArtifacts(
             processor=processor,
-            mdes=mdes,
+            mdes=built.mdes,
             compiled=compiled,
             binary=binary,
             events=events,
@@ -206,12 +228,12 @@ class ExperimentPipeline:
 
     def dilation_info(self, processor: VliwProcessor) -> DilationInfo:
         """Per-block and text dilation of ``processor`` vs the reference
-        (cached — binaries are fixed once artifacts exist)."""
+        (cached).  Needs linked binaries only: nothing is emulated."""
         info = self._dilation_infos.get(processor.name)
         if info is None:
             info = measure_dilation(
-                self.reference_artifacts().binary,
-                self.artifacts(processor).binary,
+                self.build(self.reference).binary,
+                self.build(processor).binary,
             )
             self._dilation_infos[processor.name] = info
         return info

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 from repro.errors import EncodingError
 from repro.isa.operations import OP_CLASSES, OpClass
@@ -73,12 +74,25 @@ class Template:
 
 @dataclass(frozen=True)
 class InstructionFormat:
-    """A synthesized format: the template library plus width bookkeeping."""
+    """A synthesized format: the template library plus width bookkeeping.
+
+    Template selection and template widths are memoised per format
+    instance: selections keyed by the instruction's op-class count vector
+    (``tuple(op_counts.get(cls, 0) for cls in OP_CLASSES)``), widths by
+    template.  The memos take no part in equality or repr, and a count
+    vector no template covers is never cached, so it raises every time.
+    """
 
     templates: tuple[Template, ...]
     slot_bits: dict[OpClass, int]
     header_bits: int
     dispersal_bits: int
+    _selected: dict[tuple[int, ...], Template] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _width_bytes: dict[Template, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def template_width_bits(self, template: Template) -> int:
         """Total encoded width of an instruction using ``template``."""
@@ -90,9 +104,13 @@ class InstructionFormat:
 
     def template_width_bytes(self, template: Template) -> int:
         """Encoded width rounded up to the instruction quantum, in bytes."""
-        bits = self.template_width_bits(template)
-        quantum = INSTRUCTION_QUANTUM_BITS
-        return (bits + quantum - 1) // quantum * (quantum // 8)
+        width = self._width_bytes.get(template)
+        if width is None:
+            bits = self.template_width_bits(template)
+            quantum = INSTRUCTION_QUANTUM_BITS
+            width = (bits + quantum - 1) // quantum * (quantum // 8)
+            self._width_bytes[template] = width
+        return width
 
     def select_template(self, op_counts: dict[OpClass, int]) -> Template:
         """Greedy selection: the covering template with the fewest bits.
@@ -101,10 +119,19 @@ class InstructionFormat:
         then deterministic template order — the paper's two greedy
         criteria (Section 3.3).
         """
-        best: Template | None = None
+        return self.select_for_counts(
+            tuple(op_counts.get(cls, 0) for cls in OP_CLASSES)
+        )
+
+    def select_for_counts(self, counts: tuple[int, ...]) -> Template:
+        """:meth:`select_template` for a count vector ordered like
+        :data:`OP_CLASSES` (memoised)."""
+        chosen = self._selected.get(counts)
+        if chosen is not None:
+            return chosen
         best_key: tuple[int, int, int] | None = None
         for index, template in enumerate(self.templates):
-            if not template.covers(op_counts):
+            if not all(map(operator.le, counts, template.slots)):
                 continue
             key = (
                 self.template_width_bits(template),
@@ -112,13 +139,14 @@ class InstructionFormat:
                 index,
             )
             if best_key is None or key < best_key:
-                best, best_key = template, key
-        if best is None:
+                chosen, best_key = template, key
+        if chosen is None:
             raise EncodingError(
                 f"no template covers operation counts "
-                f"{ {c.value: n for c, n in op_counts.items()} }"
+                f"{ {c.value: n for c, n in zip(OP_CLASSES, counts) if n} }"
             )
-        return best
+        self._selected[counts] = chosen
+        return chosen
 
     @property
     def max_noop_run(self) -> int:
@@ -126,9 +154,14 @@ class InstructionFormat:
         return 2**NOOP_FIELD_BITS - 1
 
     def noop_instruction_bytes(self) -> int:
-        """Size of an explicit no-op (smallest template, empty slots)."""
-        smallest = min(self.templates, key=self.template_width_bits)
-        return self.template_width_bytes(smallest)
+        """Size of an explicit no-op (smallest template, empty slots).
+
+        The empty count vector selects a narrowest template, so this is
+        the memoised selection's width.
+        """
+        return self.template_width_bytes(
+            self.select_for_counts((0,) * len(OP_CLASSES))
+        )
 
 
 def synthesize_format(mdes: MachineDescription) -> InstructionFormat:

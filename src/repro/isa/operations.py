@@ -36,6 +36,12 @@ OP_CLASSES: tuple[OpClass, ...] = (
     OpClass.BRANCH,
 )
 
+#: Position of each class in :data:`OP_CLASSES`, for hot loops that count
+#: or index per class with small ints instead of hashing enum members.
+OPCLASS_INDEX: dict[OpClass, int] = {
+    cls: i for i, cls in enumerate(OP_CLASSES)
+}
+
 
 @dataclass(frozen=True)
 class Operation:

@@ -47,6 +47,7 @@ def build_dependence_graph(
         preds=[[] for _ in range(n)],
         height=[0] * n,
     )
+    latency = [mdes.latency(op.opclass) for op in operations]
 
     last_writer: dict[int, int] = {}
     readers_since_write: dict[int, list[int]] = {}
@@ -56,8 +57,7 @@ def build_dependence_graph(
         for src in op.srcs:
             if src in last_writer:
                 producer = last_writer[src]
-                delay = mdes.latency(operations[producer].opclass)
-                graph.add_edge(producer, i, delay)
+                graph.add_edge(producer, i, latency[producer])
             readers_since_write.setdefault(src, []).append(i)
         for dst in op.dests:
             if dst in last_writer:
@@ -79,22 +79,18 @@ def build_dependence_graph(
             for j in range(i):
                 graph.add_edge(j, i, 0)
 
-    _compute_heights(graph, operations, mdes)
+    _compute_heights(graph, latency)
     return graph
 
 
-def _compute_heights(
-    graph: DependenceGraph,
-    operations: list[Operation],
-    mdes: MachineDescription,
-) -> None:
+def _compute_heights(graph: DependenceGraph, latency: list[int]) -> None:
     """Critical-path height of each op (reverse topological order).
 
     Operation indexes are already topologically ordered (edges only go
     forward in the list), so a reverse sweep suffices.
     """
     for i in range(graph.n_ops - 1, -1, -1):
-        best = mdes.latency(operations[i].opclass)
+        best = latency[i]
         for succ, delay in graph.succs[i]:
             candidate = delay + graph.height[succ]
             if candidate > best:

@@ -1,19 +1,25 @@
 """Resource-constrained list scheduling of one basic block.
 
-Classic cycle-driven list scheduling: at each cycle, ready operations
-(all predecessors issued early enough) are chosen greedily by
-critical-path height, subject to the per-class function-unit counts of
-the target processor.  The output records which operations share each
+Classic list scheduling: at each cycle, ready operations (all
+predecessors issued early enough) are chosen greedily by critical-path
+height, subject to the per-class function-unit counts of the target
+processor.  The output records which operations share each
 VLIW instruction — the quantity the instruction-format assembler encodes —
 and the block's issue-cycle count, used for processor-cycle estimation.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from repro.errors import ScheduleError
-from repro.isa.operations import OpClass, Operation
+from repro.isa.operations import (
+    OP_CLASSES,
+    OPCLASS_INDEX,
+    OpClass,
+    Operation,
+)
 from repro.machine.mdes import MachineDescription
 from repro.vliwcomp.depgraph import build_dependence_graph
 
@@ -53,6 +59,15 @@ def schedule_block(
 ) -> BlockSchedule:
     """List-schedule ``operations`` onto ``mdes.processor``.
 
+    Event driven: an operation is *released* in the cycle its last
+    predecessor issues and becomes eligible one cycle later, or once
+    every predecessor's delay has elapsed if that is later.  Eligible
+    operations wait in a heap keyed by (-height, index) — highest
+    critical path first, index breaking ties — and each cycle issues
+    them greedily, skipping those whose class has no free unit (they
+    stay eligible for the next cycle).  Cycles in which nothing is
+    eligible are jumped over.
+
     Raises :class:`ScheduleError` if no progress can be made (which would
     indicate a dependence-graph bug, since every processor has at least
     one unit per class).
@@ -61,65 +76,77 @@ def schedule_block(
         return BlockSchedule(instructions=(), cycles=0)
 
     graph = build_dependence_graph(operations, mdes)
-    processor = mdes.processor
     n = len(operations)
-
-    issue_cycle = [-1] * n
+    height = graph.height
+    succs = graph.succs
+    units = [mdes.processor.units[cls] for cls in OP_CLASSES]
+    class_of = [OPCLASS_INDEX[op.opclass] for op in operations]
+    pending = [len(preds) for preds in graph.preds]
     earliest = [0] * n
-    unscheduled = set(range(n))
+
+    ready = [(-height[i], i) for i in range(n) if not pending[i]]
+    heapq.heapify(ready)
+    waiting: list[tuple[int, int]] = []  # (eligible cycle, index)
     instructions: list[tuple[int, ...]] = []
+    remaining = n
     cycle = 0
     last_issue = 0
-    max_cycles = _cycle_budget(n, graph.height)
+    max_cycles = _cycle_budget(n, height)
 
-    while unscheduled:
+    while remaining:
+        if not ready:
+            if not waiting:
+                raise ScheduleError(
+                    f"{remaining} of {n} operations can never issue; "
+                    "dependence graph is cyclic or inconsistent"
+                )
+            # Nothing is eligible until the next release: jump there.
+            cycle = max(cycle, waiting[0][0])
         if cycle > max_cycles:
             raise ScheduleError(
                 f"scheduler exceeded {max_cycles} cycles for a "
                 f"{n}-operation block; dependence graph is inconsistent"
             )
-        free = dict(processor.units)
+        while waiting and waiting[0][0] <= cycle:
+            i = heapq.heappop(waiting)[1]
+            heapq.heappush(ready, (-height[i], i))
+
+        free = units.copy()
+        slots = sum(free)
         issued: list[int] = []
-        ready = [
-            i
-            for i in unscheduled
-            if earliest[i] <= cycle
-            and all(issue_cycle[p] >= 0 for p, _ in graph.preds[i])
-        ]
-        # Highest critical path first; index breaks ties deterministically.
-        ready.sort(key=lambda i: (-graph.height[i], i))
-        for i in ready:
-            cls = operations[i].opclass
-            if free[cls] <= 0:
-                continue
-            if not _preds_satisfied(graph, issue_cycle, i, cycle):
-                continue
-            free[cls] -= 1
-            issue_cycle[i] = cycle
-            issued.append(i)
+        blocked: list[tuple[int, int]] = []
+        while ready and slots:
+            entry = heapq.heappop(ready)
+            cls = class_of[entry[1]]
+            if free[cls]:
+                free[cls] -= 1
+                slots -= 1
+                issued.append(entry[1])
+            else:
+                blocked.append(entry)
+        for entry in blocked:
+            heapq.heappush(ready, entry)
+
         if issued:
             for i in issued:
-                unscheduled.discard(i)
-                for succ, delay in graph.succs[i]:
+                for succ, delay in succs[i]:
                     need = cycle + delay
                     if need > earliest[succ]:
                         earliest[succ] = need
-            instructions.append(tuple(sorted(issued)))
+                    pending[succ] -= 1
+                    if not pending[succ]:
+                        heapq.heappush(
+                            waiting, (max(earliest[succ], cycle + 1), succ)
+                        )
+            remaining -= len(issued)
+            issued.sort()
+            instructions.append(tuple(issued))
             last_issue = cycle
         cycle += 1
 
     return BlockSchedule(
         instructions=tuple(instructions), cycles=last_issue + 1
     )
-
-
-def _preds_satisfied(graph, issue_cycle, i, cycle) -> bool:
-    """All predecessors of i issued, with their delays elapsed by cycle."""
-    for pred, delay in graph.preds[i]:
-        when = issue_cycle[pred]
-        if when < 0 or when + delay > cycle:
-            return False
-    return True
 
 
 def _cycle_budget(n_ops: int, heights: list[int]) -> int:

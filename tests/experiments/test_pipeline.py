@@ -4,7 +4,8 @@ import pytest
 
 from repro.cache.config import CacheConfig
 from repro.errors import ConfigurationError
-from repro.machine.presets import P1111, P3221
+from repro.experiments.pipeline import ExperimentPipeline
+from repro.machine.presets import P1111, P3221, PAPER_PROCESSORS
 from repro.machine.processor import make_processor
 
 
@@ -45,6 +46,20 @@ class TestDilation:
         info = tiny_pipeline.dilation_info(P3221)
         assert len(info.block_keys) == len(info.block_dilations)
         assert info.text_dilation > 1.0
+
+    def test_dilation_needs_binaries_only(self, tiny):
+        """Text dilations never emulate or trace, and later artifacts
+        reuse the builds: nothing is compiled twice."""
+        pipeline = ExperimentPipeline(tiny, max_visits=4_000)
+        for processor in PAPER_PROCESSORS:
+            pipeline.dilation(processor)
+        assert pipeline._artifacts == {}
+        assert pipeline._emulator is None
+        for processor in PAPER_PROCESSORS:
+            built = pipeline.build(processor)
+            art = pipeline.artifacts(processor)
+            assert art.compiled is built.compiled
+            assert art.binary is built.binary
 
 
 class TestTraceParameters:
