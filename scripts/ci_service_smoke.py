@@ -13,7 +13,11 @@ ephemeral port — then drives it exactly as a user would:
 3. submit the *same* grid again and assert the rerun is served
    entirely from the content-addressed store (``from_store == total``,
    zero new simulation);
-4. query ``/results`` and assert it matches the job's result documents.
+4. query ``/results`` and assert it matches the job's result documents;
+5. submit ``{"kind": "explore", "benchmark": "epic"}``, render the
+   result with ``repro explore``'s own renderer and assert it equals
+   ``tests/golden/explore_epic.txt`` byte for byte — the CLI and the
+   service run one execution path.
 
 The service journal goes to ``--journal`` and the final ``/metrics``
 document to ``--metrics`` so CI uploads both as artifacts.  Exit code 0
@@ -28,10 +32,12 @@ import sys
 import threading
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from repro.cache.config import CacheConfig  # noqa: E402
 from repro.cache.simulator import simulate_trace  # noqa: E402
+from repro.cli import render_explore  # noqa: E402
 from repro.runtime.journal import RunJournal  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
 from repro.service.jobs import build_trace_arrays  # noqa: E402
@@ -135,8 +141,19 @@ def main() -> int:
                 "/results values match the job's result documents",
             )
 
+            explore = client.wait(
+                client.submit({"kind": "explore", "benchmark": "epic"}),
+                timeout=600,
+            ).result
+            golden = ROOT / "tests" / "golden" / "explore_epic.txt"
+            check(
+                "\n".join(render_explore(explore)) + "\n"
+                == golden.read_text(encoding="utf-8"),
+                "explore job renders byte-identical to the CLI golden",
+            )
+
             metrics = client.metrics()
-            check(metrics["jobs"]["done"] == 2, "both jobs recorded done")
+            check(metrics["jobs"]["done"] == 3, "all three jobs recorded done")
             check(
                 metrics["store"]["hits"] >= n_configs,
                 "store hit counters increased on the rerun",

@@ -220,6 +220,11 @@ def derive_journal_columns(
 # ----------------------------------------------------------------------
 
 
+def new_run_id() -> str:
+    """A fresh run id (``run-`` and 12 hex digits)."""
+    return f"run-{uuid.uuid4().hex[:12]}"
+
+
 class RunRecorder:
     """Accumulate one run's rows, derive journal columns, write once.
 
@@ -256,7 +261,7 @@ class RunRecorder:
         self.kind = str(kind)
         self.spec = dict(spec or {})
         self.journal = resolve_journal(journal)
-        self.run_id = run_id or f"run-{uuid.uuid4().hex[:12]}"
+        self.run_id = run_id or new_run_id()
         self.label = label
         self.benchmark = benchmark
         self._rows: list[dict[str, Any]] = []

@@ -13,12 +13,12 @@ ordinary :class:`~repro.cache.simulator.MissResult` mapping.  Callers
 see the same API either way, and a crashed or hung worker costs a retry
 (or an in-process fallback), not the sweep.
 
-In-process sweeps use the whole-design-space kernel
-(:class:`~repro.cache.designspace.DesignSpaceSimulator`): one line-stream
-expansion and one value sort shared by every line size, instead of one
-of each per line size.  ``strategy="perline"`` keeps the independent
-per-line-size passes (the equivalence oracle; results are bit-identical
-either way).
+In-process sweeps of more than one line size use the whole-design-space
+kernel (:class:`~repro.cache.designspace.DesignSpaceSimulator`): one
+line-stream expansion and one value sort shared by every line size,
+instead of one of each per line size.  A single line size, or a sweep
+under a fault plan, runs independent per-line-size passes (results are
+bit-identical either way).
 
 Trace residency: each group's trace is materialized only when its job is
 submitted and the parent's copy is dropped right after submission, so
@@ -32,10 +32,11 @@ refcounted shared segment and each job ships only a ~200-byte
 :class:`~repro.runtime.executor.SharedArrayHandle`; workers map the
 arrays zero-copy; without it, each job pickles its own arrays.
 
-Sweeps can checkpoint completed groups into an
-:class:`~repro.explore.evalcache.EvaluationCache` (one durable flush per
-group, via :meth:`~repro.explore.evalcache.EvaluationCache.bulk`), so a
-killed run resumes from the finished groups instead of restarting.
+Sweeps can checkpoint completed groups into a
+:class:`~repro.service.store.StoreEvaluationCache` (one durable
+transaction per group, via
+:meth:`~repro.service.store.StoreEvaluationCache.bulk`), so a killed run
+resumes from the finished groups instead of restarting.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from repro.trace.chunkstore import ChunkedTrace
 from repro.trace.sampling import SamplePlan, extrapolate, plan_windows
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.explore.evalcache import EvaluationCache
+    from repro.service.store import StoreEvaluationCache
 
 #: A range trace: callable returning (starts, sizes).  Sweeps accept a
 #: factory rather than arrays so multi-gigabyte traces can be re-generated
@@ -278,17 +279,17 @@ def decode_chunk_state(value) -> tuple[int, int, dict[int, dict]] | None:
 
 
 class _SweepCheckpoint:
-    """Group-state checkpointing through an EvaluationCache.
+    """Group-state checkpointing through the evaluation cache.
 
     One entry per (trace, line size, set counts, max assoc): the exported
-    single-pass histogram state.  Stores flush durably per group (inside
-    :meth:`EvaluationCache.bulk`, one write each), so a killed sweep
-    resumes from its completed groups.
+    single-pass histogram state.  Stores commit durably per group (inside
+    :meth:`StoreEvaluationCache.bulk`, one transaction each), so a killed
+    sweep resumes from its completed groups.
     """
 
     def __init__(
         self,
-        cache: "EvaluationCache",
+        cache: "StoreEvaluationCache",
         trace: Trace,
         trace_key: str | None,
         journal: RunJournal,
@@ -377,10 +378,9 @@ def sweep_design_space(
     *,
     policy: ExecutorPolicy | None = None,
     journal: RunJournal | None = None,
-    checkpoint: "EvaluationCache | None" = None,
+    checkpoint: "StoreEvaluationCache | None" = None,
     trace_key: str | None = None,
     on_error: str = "raise",
-    strategy: str = "auto",
 ) -> dict[CacheConfig, MissResult]:
     """Simulate every configuration, one pass per distinct line size.
 
@@ -394,16 +394,12 @@ def sweep_design_space(
     retried per ``policy``, a broken pool degrades to in-process serial
     execution, and results fold in completion order.
 
-    ``strategy`` selects the in-process engine: ``"auto"`` feeds every
-    pending line size through one
-    :class:`~repro.cache.designspace.DesignSpaceSimulator` (one
-    expansion, one sort) whenever the sweep runs in-process without
-    fault injection; ``"designspace"`` forces that kernel (in-process,
-    even when workers were requested — one shared sort usually beats a
-    per-line-size fan-out); ``"perline"`` forces the independent
-    per-line-size passes.  Results are bit-identical across strategies.
+    In-process sweeps without fault injection feed every pending line
+    size through one :class:`~repro.cache.designspace.DesignSpaceSimulator`
+    (one expansion, one sort) when more than one is pending, and run
+    one plain pass otherwise.  Results are bit-identical either way.
 
-    ``checkpoint`` (an :class:`~repro.explore.evalcache.EvaluationCache`)
+    ``checkpoint`` (a :class:`~repro.service.store.StoreEvaluationCache`)
     persists each completed group's simulation state, keyed by a trace
     digest — or by ``trace_key`` when the caller has a cheaper stable
     identity — so re-running the same sweep resumes instead of
@@ -417,11 +413,6 @@ def sweep_design_space(
     if on_error not in ("raise", "partial"):
         raise ConfigurationError(
             f"on_error must be 'raise' or 'partial', got {on_error!r}"
-        )
-    if strategy not in ("auto", "designspace", "perline"):
-        raise ConfigurationError(
-            "strategy must be 'auto', 'designspace' or 'perline', "
-            f"got {strategy!r}"
         )
     journal = resolve_journal(journal)
     policy = (policy or ExecutorPolicy()).with_workers(max_workers)
@@ -473,18 +464,12 @@ def sweep_design_space(
         policy.max_workers is not None
         and policy.max_workers > 1
         and len(pending) > 1
-        and strategy != "designspace"
     )
     # The whole-design-space simulator runs all pending line sizes from
     # shared work, in-process; a fault plan keeps the per-group path so
     # injected faults reach the executor.
     use_designspace = (
-        not parallel
-        and (
-            strategy == "designspace"
-            or (strategy == "auto" and len(pending) > 1)
-        )
-        and policy.fault is None
+        not parallel and len(pending) > 1 and policy.fault is None
     )
     if use_designspace:
         starts, sizes = _materialize(trace)

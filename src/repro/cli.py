@@ -4,7 +4,7 @@ Gives the repository's main flows a shell entry point:
 
 * ``table2`` / ``table3`` / ``table4`` / ``fig5`` / ``fig6`` / ``fig7`` —
   regenerate one paper table/figure and print it;
-* ``explore`` — run the spacewalker on one benchmark and print the
+* ``explore`` — run the spacewalker on each benchmark and print the
   Pareto frontier;
 * ``sweep`` — exact miss counts for a cache design-space grid (line
   sizes x sets x associativities) on a benchmark's reference trace;
@@ -28,16 +28,27 @@ Common options: ``--scale`` (workload footprint multiplier),
 ``--visits`` (emulation budget), ``--benchmarks`` (subset),
 ``--max-workers``/``--job-timeout``/``--job-retries`` (parallel
 priming), ``--journal`` (structured JSON-lines run journal),
-``--runs-db`` (record the command's results as a durable run
-in an analytics sqlite database, browsable with ``repro runs``).
+``--runs-db`` (the sqlite result store ``sweep``/``explore`` run
+against, recording one durable run per benchmark, browsable with
+``repro runs``).
+
+``sweep`` and ``explore`` build one service job spec per benchmark and
+run it in-process through :func:`repro.service.jobs.execute_job`, the
+service's own execution path; :func:`render_sweep` /
+:func:`render_explore` turn the result documents into the printed
+tables.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 from contextlib import nullcontext
-from typing import Callable, Sequence
+from functools import partial
+from pathlib import Path
+from typing import Any, Callable, Sequence
 
 from repro.experiments.runner import (
     RunnerSettings,
@@ -51,6 +62,7 @@ from repro.experiments.runner import (
 )
 from repro.machine.presets import PAPER_PROCESSORS
 from repro.runtime.journal import RunJournal, use_journal
+from repro.trace.chunkstore import DEFAULT_CHUNK_RANGES, write_chunked
 from repro.workloads.suite import BENCHMARK_NAMES
 
 
@@ -85,13 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--scale",
-        type=float,
+        type=_positive_float,
         default=1.0,
         help="workload footprint multiplier (default 1.0 = paper scale)",
     )
     common.add_argument(
         "--visits",
-        type=int,
+        type=_positive_int,
         default=60_000,
         help="emulation budget in block visits (default 60000)",
     )
@@ -143,9 +155,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help=(
-            "record this command's results as a durable run in the "
-            "given analytics sqlite database (sweep/explore; browse "
-            "with 'repro runs')"
+            "sweep/explore: run against this sqlite result store, "
+            "recording one durable run per benchmark (browse with "
+            "'repro runs'); results and checkpoints land there too, so "
+            "a rerun is served from the store (default: a throwaway "
+            "store, nothing recorded)"
         ),
     )
     parser = argparse.ArgumentParser(
@@ -205,25 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="associativities of the grid (default: 1 2 4)",
     )
     sweep.add_argument(
-        "--strategy",
-        choices=("auto", "designspace", "perline"),
-        default="auto",
-        help=(
-            "in-process engine: one whole-design-space pass "
-            "('designspace'), independent per-line-size passes "
-            "('perline'), or pick automatically (default: auto)"
-        ),
-    )
-    sweep.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help=(
-            "JSON evaluation-cache file for resumable group-state "
-            "checkpoints (default: no checkpointing)"
-        ),
-    )
-    sweep.add_argument(
         "--trace-format",
         choices=("memory", "chunked"),
         default="memory",
@@ -236,11 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--chunk-ranges",
         type=_positive_int,
-        default=None,
+        default=DEFAULT_CHUNK_RANGES,
         metavar="N",
         help=(
             "ranges per chunk with --trace-format chunked "
-            "(default: 262144)"
+            "(default: %(default)s)"
         ),
     )
     sweep.add_argument(
@@ -511,213 +506,202 @@ def _benchmarks(args: argparse.Namespace) -> tuple[str, ...]:
     return tuple(args.benchmarks)
 
 
-def _explore_space():
-    """Design space the ``explore`` command walks (patchable in tests)."""
-    from repro.explore.spec import SystemDesignSpace
+def _run_jobs(
+    args: argparse.Namespace,
+    specs: list[dict],
+    prepare: Callable[[dict, str], dict] | None = None,
+) -> list[dict]:
+    """Validate every spec, then execute them in-process, in order.
 
-    return SystemDesignSpace()
+    This is the service's execution path (:func:`~repro.service.jobs.
+    execute_job`), so the CLI and ``repro serve`` share checkpointing,
+    run recording and journaling.  ``--runs-db`` is persistent: results,
+    checkpoints and runs land there and a rerun is served from it.
+    Otherwise a throwaway store holds one command's checkpoints and
+    nothing is recorded.  ``prepare(spec, tmpdir)`` (when given) turns
+    each validated spec into the job actually executed, just before it
+    runs; files it writes under ``tmpdir`` go when the command ends.
+    """
+    from repro.analytics.runs import new_run_id
+    from repro.errors import ServiceError
+    from repro.service.jobs import execute_job, validate_spec
+    from repro.service.store import ResultStore
+
+    for spec in specs:
+        try:
+            validate_spec(spec)
+        except ServiceError as exc:
+            raise SystemExit(f"invalid {spec['kind']} job: {exc}")
+    record = bool(args.runs_db)
+    results = []
+    with tempfile.TemporaryDirectory(prefix="repro-jobs-") as tmp:
+        store = ResultStore(args.runs_db or Path(tmp) / "store.sqlite")
+        try:
+            for spec in specs:
+                job = prepare(spec, tmp) if prepare else spec
+                run_id = new_run_id() if record else None
+                results.append(
+                    execute_job(job, store, run_id=run_id, record=record)
+                )
+                if record:
+                    print(
+                        f"[runs] recorded {run_id} -> {args.runs_db}",
+                        file=sys.stderr,
+                    )
+        finally:
+            store.close()
+    return results
+
+
+def _policy_fields(args: argparse.Namespace) -> dict[str, Any]:
+    """The execution-policy fields of a job spec, from the common flags."""
+    fields = {
+        "max_workers": args.max_workers,
+        "job_timeout": args.job_timeout,
+        "job_retries": args.job_retries,
+    }
+    return {k: v for k, v in fields.items() if v is not None}
+
+
+def explore_spec(args: argparse.Namespace, bench: str) -> dict[str, Any]:
+    """The ``explore`` job spec ``repro explore`` runs for one benchmark."""
+    return {
+        "kind": "explore",
+        "benchmark": bench,
+        "scale": args.scale,
+        "visits": args.visits,
+        **_policy_fields(args),
+    }
+
+
+def render_explore(result: dict[str, Any]) -> list[str]:
+    """``repro explore``'s lines for one explore job's result document."""
+    from repro.cache.config import CacheConfig
+
+    lines = [
+        f"Pareto frontier for {result['benchmark']} "
+        f"({result['designs']} designs):"
+    ]
+    for point in result["frontier"]:
+        icache, dcache, unified = (
+            CacheConfig(**point[role]).describe()
+            for role in ("icache", "dcache", "unified")
+        )
+        lines.append(
+            f"  cost={point['cost']:9.2f} cycles={point['cycles']:13.0f} "
+            f"proc={point['processor']} "
+            f"I={icache} D={dcache} U={unified}"
+        )
+    return lines
 
 
 def _cmd_explore(args: argparse.Namespace) -> str:
-    from repro.explore.spacewalker import Spacewalker
-
-    settings = _settings(args)
-    policy = settings.executor_policy()
-    recorder = _runs_recorder(
-        args, "explore", {"benchmarks": list(_benchmarks(args))}
-    )
+    # Every requested benchmark is walked (not just the first).
+    specs = [explore_spec(args, bench) for bench in _benchmarks(args)]
     lines: list[str] = []
-    with recorder if recorder is not None else nullcontext():
-        # Every requested benchmark is walked (not just the first).
-        for bench in _benchmarks(args):
-            pipeline = get_pipeline(bench, settings)
-            pareto = Spacewalker(
-                _explore_space(),
-                pipeline,
-                max_workers=args.max_workers,
-                policy=policy,
-            ).walk()
-            lines.append(
-                f"Pareto frontier for {bench} ({len(pareto)} designs):"
-            )
-            for point in pareto.frontier():
-                memory = point.design.memory
-                if recorder is not None:
-                    recorder.add_frontier_point(
-                        {
-                            "cost": point.cost,
-                            "cycles": point.time,
-                            "processor": point.design.processor,
-                            "icache": memory.icache.__dict__,
-                            "dcache": memory.dcache.__dict__,
-                            "unified": memory.unified.__dict__,
-                        },
-                        benchmark=bench,
-                    )
-                lines.append(
-                    f"  cost={point.cost:9.2f} cycles={point.time:13.0f} "
-                    f"proc={point.design.processor} "
-                    f"I={memory.icache.describe()} "
-                    f"D={memory.dcache.describe()} "
-                    f"U={memory.unified.describe()}"
-                )
-    if recorder is not None:
-        lines.append(f"[runs] recorded {recorder.run_id} -> {args.runs_db}")
+    for result in _run_jobs(args, specs):
+        lines.extend(render_explore(result))
     return "\n".join(lines)
+
+
+def sweep_spec(args: argparse.Namespace, bench: str) -> dict[str, Any]:
+    """The ``sweep`` job spec ``repro sweep`` runs for one benchmark."""
+    spec: dict[str, Any] = {
+        "kind": "sweep",
+        "trace": {
+            "kind": "benchmark",
+            "benchmark": bench,
+            "role": args.role,
+            "scale": args.scale,
+            "visits": args.visits,
+        },
+        "configs": {
+            "line_sizes": args.line_sizes,
+            "sets": args.sets,
+            "assocs": args.assocs,
+        },
+        **_policy_fields(args),
+    }
+    if args.sample_intervals:
+        spec["sample"] = {
+            "intervals": args.sample_intervals,
+            "interval_ranges": args.sample_interval_ranges,
+            "warmup_ranges": args.sample_warmup,
+            "mode": args.sample_mode,
+        }
+    return spec
+
+
+def render_sweep(spec: dict[str, Any], result: dict[str, Any]) -> list[str]:
+    """``repro sweep``'s lines for one sweep job's result document.
+
+    ``spec`` is the job :func:`sweep_spec` built (its trace names the
+    benchmark and role of the header line).
+    """
+    docs = result["results"]
+    sampled = result["sampled"]
+    header = (
+        f"{spec['trace']['benchmark']} {spec['trace']['role']}: "
+        f"{result['ranges']} ranges, {result['total']} configurations"
+    )
+    if sampled:
+        first = docs[0]
+        fraction = (
+            first["sampled_ranges"] / first["total_ranges"]
+            if first["total_ranges"]
+            else 1.0
+        )
+        header += (
+            f" (sampled: {first['intervals']} intervals, "
+            f"{fraction:.1%} of the trace)"
+        )
+    columns = (
+        f"  {'line':>5} {'sets':>6} {'assoc':>5} "
+        f"{'misses':>12} {'rate':>8}"
+    )
+    if sampled:
+        columns += f" {'error':>8}"
+    lines = [header, columns]
+    for doc in docs:
+        rate = doc["misses"] / doc["accesses"] if doc["accesses"] else 0.0
+        row = (
+            f"  {doc['line_size']:>5} {doc['sets']:>6} "
+            f"{doc['assoc']:>5} {doc['misses']:>12} {rate:>8.4f}"
+        )
+        if sampled:
+            error = (
+                f"{doc['error']:.2%}" if doc["error"] is not None else "n/a"
+            )
+            row += f" {error:>8}"
+        lines.append(row)
+    return lines
 
 
 def _cmd_sweep(args: argparse.Namespace) -> str:
-    from repro.cache.config import CacheConfig
-
-    try:
-        configs = [
-            CacheConfig(sets, assoc, line_size)
-            for line_size in args.line_sizes
-            for sets in args.sets
-            for assoc in args.assocs
-        ]
-    except Exception as exc:  # noqa: BLE001 - CacheConfig validates
-        raise SystemExit(f"infeasible cache configuration: {exc}")
-    checkpoint = None
-    if args.checkpoint:
-        from repro.explore.evalcache import EvaluationCache
-
-        checkpoint = EvaluationCache(args.checkpoint)
-    plan = None
-    if args.sample_intervals:
-        from repro.trace.sampling import SamplePlan
-
-        try:
-            plan = SamplePlan(
-                intervals=args.sample_intervals,
-                interval_ranges=args.sample_interval_ranges,
-                warmup_ranges=args.sample_warmup,
-                mode=args.sample_mode,
-            )
-        except Exception as exc:  # noqa: BLE001 - SamplePlan validates
-            raise SystemExit(f"bad sampling plan: {exc}")
-    settings = _settings(args)
-    recorder = _runs_recorder(
-        args,
-        "sweep",
-        {
-            "benchmarks": list(_benchmarks(args)),
-            "role": args.role,
-            "line_sizes": list(args.line_sizes),
-            "sets": list(args.sets),
-            "assocs": list(args.assocs),
-            "sampled": bool(args.sample_intervals),
-        },
-    )
+    specs = [sweep_spec(args, bench) for bench in _benchmarks(args)]
+    chunked = args.trace_format == "chunked"
+    prepare = partial(_chunked_job, args.chunk_ranges) if chunked else None
     lines: list[str] = []
-    with recorder if recorder is not None else nullcontext():
-        lines.extend(
-            _run_sweep_benchmarks(
-                args, settings, configs, checkpoint, plan, recorder
-            )
-        )
-    if recorder is not None:
-        lines.append(f"[runs] recorded {recorder.run_id} -> {args.runs_db}")
+    for spec, result in zip(specs, _run_jobs(args, specs, prepare)):
+        lines.extend(render_sweep(spec, result))
     return "\n".join(lines)
 
 
-def _run_sweep_benchmarks(args, settings, configs, checkpoint, plan, recorder):
-    from repro.cache.sweep import (
-        sampled_sweep_design_space,
-        sweep_design_space,
-    )
+def _chunked_job(
+    chunk_ranges: int, spec: dict[str, Any], tmp: str
+) -> dict[str, Any]:
+    """``spec`` with its benchmark trace spooled to a chunked store.
 
-    lines: list[str] = []
-    for bench in _benchmarks(args):
-        trace = get_pipeline(bench, settings).reference_artifacts().trace(
-            args.role
-        )
-        trace_arg = (trace.starts, trace.sizes)
-        tmpdir = None
-        if args.trace_format == "chunked":
-            import tempfile
+    The job then streams the trace chunk-at-a-time (bounded memory;
+    parallel passes receive the file path, not the arrays).
+    """
+    from repro.service.jobs import build_trace_arrays
 
-            from repro.trace.chunkstore import write_chunked
-
-            tmpdir = tempfile.TemporaryDirectory(prefix="repro-chunked-")
-            kwargs = (
-                {"chunk_ranges": args.chunk_ranges}
-                if args.chunk_ranges
-                else {}
-            )
-            trace_arg = write_chunked(
-                f"{tmpdir.name}/{bench}-{args.role}.rct",
-                trace.starts,
-                trace.sizes,
-                **kwargs,
-            )
-        try:
-            if plan is not None:
-                results = sampled_sweep_design_space(
-                    configs, trace_arg, plan
-                )
-            else:
-                results = sweep_design_space(
-                    configs,
-                    trace_arg,
-                    max_workers=args.max_workers,
-                    policy=settings.executor_policy(),
-                    checkpoint=checkpoint,
-                    strategy=args.strategy,
-                )
-        finally:
-            if tmpdir is not None:
-                trace_arg.close()
-                tmpdir.cleanup()
-        header = (
-            f"{bench} {args.role}: {len(trace)} ranges, "
-            f"{len(configs)} configurations"
-        )
-        if plan is not None:
-            any_result = next(iter(results.values()))
-            header += (
-                f" (sampled: {any_result.intervals} intervals, "
-                f"{any_result.sampled_fraction:.1%} of the trace)"
-            )
-        lines.append(header)
-        columns = (
-            f"  {'line':>5} {'sets':>6} {'assoc':>5} "
-            f"{'misses':>12} {'rate':>8}"
-        )
-        if plan is not None:
-            columns += f" {'error':>8}"
-        lines.append(columns)
-        for config in configs:
-            result = results[config]
-            rate = (
-                result.misses / result.accesses if result.accesses else 0.0
-            )
-            row = (
-                f"  {config.line_size:>5} {config.sets:>6} "
-                f"{config.assoc:>5} {result.misses:>12} {rate:>8.4f}"
-            )
-            if plan is not None:
-                error = (
-                    f"{result.error:.2%}" if result.error is not None
-                    else "n/a"
-                )
-                row += f" {error:>8}"
-            lines.append(row)
-        if recorder is not None:
-            for config, result in results.items():
-                recorder.add_row(
-                    benchmark=bench,
-                    role=args.role,
-                    sets=config.sets,
-                    assoc=config.assoc,
-                    line_size=config.line_size,
-                    accesses=result.accesses,
-                    misses=float(result.misses),
-                    estimated=plan is not None,
-                    error=getattr(result, "error", None),
-                    source="sampled" if plan is not None else "simulated",
-                )
-    return lines
+    trace = spec["trace"]
+    path = f"{tmp}/{trace['benchmark']}-{trace['role']}.rct"
+    starts, sizes = build_trace_arrays(trace)
+    write_chunked(path, starts, sizes, chunk_ranges=chunk_ranges).close()
+    return {**spec, "trace": {"kind": "chunked", "path": path}}
 
 
 def _cmd_dilation(args: argparse.Namespace) -> str:
@@ -751,18 +735,6 @@ def _cmd_report(args: argparse.Namespace) -> str:
         )
         return f"report written to {path}"
     return build_report(args.results, journal=args.journal, store=args.store)
-
-
-def _runs_recorder(args: argparse.Namespace, kind: str, spec: dict):
-    """A RunRecorder against ``--runs-db`` (None when not requested)."""
-    if not getattr(args, "runs_db", None):
-        return None
-    from repro.analytics.runs import RunRecorder
-    from repro.service.store import ResultStore
-
-    return RunRecorder(
-        ResultStore(args.runs_db), kind, spec=spec, label=f"cli:{kind}"
-    )
 
 
 def _cmd_runs(args: argparse.Namespace) -> str:
@@ -886,6 +858,19 @@ def _cmd_benchmarks(_: argparse.Namespace) -> str:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (``repro benchmarks | head -1``): send
+        # what is still buffered to devnull so the exit-time flush stays
+        # quiet, and stop without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _main(argv: Sequence[str] | None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "report":
         print(_cmd_report(args))

@@ -1,12 +1,13 @@
 """Design-space exploration (Section 5's spacewalker software stack).
 
 Layers mirror Figure 4: design-space specifications feed *walkers*, which
-insert candidate designs into *Pareto sets*; evaluations go through a
-persistent *evaluation cache* backed by *evaluators* that either compute
-metrics internally (cache area, dilation-model misses) or run simulations.
+insert candidate designs into *Pareto sets*; evaluations go through
+*evaluators* that either compute metrics internally (cache area,
+dilation-model misses) or run simulations, checkpointing their passes
+into the persistent evaluation cache
+(:class:`repro.service.store.StoreEvaluationCache`).
 """
 
-from repro.explore.evalcache import EvaluationCache
 from repro.explore.evaluators import (
     EvaluationCosts,
     MemoryEvaluator,
@@ -34,7 +35,6 @@ __all__ = [
     "SystemDesignSpace",
     "ParetoPoint",
     "ParetoSet",
-    "EvaluationCache",
     "MemoryEvaluator",
     "EvaluationCosts",
     "exhaustive_evaluation_hours",

@@ -53,7 +53,7 @@ from repro.trace.ranges import RangeTrace
 from repro.trace.sampling import SamplePlan, plan_windows
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.explore.evalcache import EvaluationCache
+    from repro.service.store import StoreEvaluationCache
 
 #: Trace roles a memory evaluator serves.
 ROLES = ("icache", "dcache", "unified")
@@ -88,7 +88,7 @@ class MemoryEvaluator:
         self._wanted: dict[tuple[str, int], set[int]] = {}
         self.simulation_passes = 0
         # Optional shared pass-state checkpoint (see attach_checkpoint).
-        self._checkpoint: "EvaluationCache | None" = None
+        self._checkpoint: "StoreEvaluationCache | None" = None
         self._trace_keys: dict[str, str] = {}
         self._trace_ids: dict[str, str] = {}
         # Optional interval-sampling plan (see set_sample_plan): when
@@ -116,7 +116,7 @@ class MemoryEvaluator:
 
     def attach_checkpoint(
         self,
-        cache: "EvaluationCache",
+        cache: "StoreEvaluationCache | None",
         trace_keys: Mapping[str, str] | None = None,
     ) -> None:
         """Share simulation pass states through an evaluation cache.
@@ -127,7 +127,7 @@ class MemoryEvaluator:
         family), and passes another process already ran are adopted from
         the cache instead of re-simulated.  Pointing several evaluator
         instances (across processes or machines) at one store-backed
-        cache de-duplicates their priming work.
+        cache de-duplicates their priming work.  ``None`` detaches.
         """
         self._checkpoint = cache
         self._trace_keys = dict(trace_keys or {})

@@ -45,8 +45,9 @@ any event type):
     handle) and ``bytes_mapped`` (the segment the worker maps);
     ``trace_shipping`` carries the resolved ``mode`` and ``jobs``.
 ``cache``
-    An :class:`~repro.explore.evalcache.EvaluationCache` snapshot:
-    ``hits``, ``misses``, ``hit_rate``, ``entries``.
+    A snapshot of a :class:`~repro.service.store.StoreEvaluationCache`
+    or :class:`~repro.service.store.ResultStore`: ``label``, ``hits``,
+    ``misses``, ``hit_rate``, ``entries``.
 ``worker_util``
     End-of-run pool accounting: ``workers``, ``busy_s``, ``wall_s``,
     ``utilization``.
@@ -135,7 +136,7 @@ class RunJournal:
             self.record(event, **fields, **extra, wall_s=round(wall, 6))
 
     def observe_cache(self, cache: Any, label: str = "evalcache") -> None:
-        """Snapshot an ``EvaluationCache``-style object's hit/miss stats."""
+        """Snapshot a cache's or store's hit/miss stats."""
         stats = cache.stats() if hasattr(cache, "stats") else {
             "hits": getattr(cache, "hits", 0),
             "misses": getattr(cache, "misses", 0),

@@ -1,66 +1,37 @@
 """Job specs and their execution (the service's unit of work).
 
-A job spec is one JSON object with a ``kind``:
+A job spec is one JSON object with a ``kind``: ``sweep`` (exact or
+interval-sampled miss counts for a config grid on one trace, through
+:func:`repro.cache.sweep.sweep_design_space`), ``estimate``
+(dilation-model estimates through
+:meth:`repro.explore.evaluators.MemoryEvaluator.misses_batch`) or
+``explore`` (a spacewalker Pareto walk).  ``docs/SERVICE.md`` is the
+schema: every field, its range and default, and the ``repro sweep`` /
+``repro explore`` flag that sets it.  Those commands build specs too
+and run them in-process through :func:`execute_job`, so the CLI and the
+service share one execution path.
 
-``sweep``
-    Exact miss counts for a grid of cache configurations on one trace:
-    ``{"kind": "sweep", "trace": <trace spec>, "configs": <configs>}``.
-    Runs one single-pass simulation per distinct line size through
-    :func:`repro.cache.sweep.sweep_design_space`, checkpointing group
-    states into the shared store and serving per-config results that
-    are already stored without simulating at all.
-
-``estimate``
-    Dilation-model miss estimates over a (config x dilation) grid for a
-    named benchmark's reference trace: ``{"kind": "estimate",
-    "benchmark": ..., "role": ..., "configs": ..., "dilations": [...]}``.
-    Uses :meth:`repro.explore.evaluators.MemoryEvaluator.misses_batch`
-    with priming checkpointed into the shared store.
-
-``explore``
-    A spacewalker Pareto walk for a named benchmark:
-    ``{"kind": "explore", "benchmark": ...}``, optional ``space``
-    overrides.  The resulting frontier is stored under the
-    ``frontiers`` namespace and returned.
-
-Trace specs (for ``sweep``):
-
-* ``{"kind": "ranges", "starts": [...], "sizes": [...]}`` — explicit;
-* ``{"kind": "synthetic", "seed": 1, "ranges": 512, "footprint": 65536,
-  "max_size": 64}`` — a seeded random range trace, cheap to
-  re-materialize anywhere (workers rebuild it from the spec);
-* ``{"kind": "benchmark", "benchmark": "085.gcc", "role": "icache",
-  "scale": 1.0, "visits": 60000}`` — a real workload's reference trace
-  via the experiment pipeline;
-* ``{"kind": "chunked", "path": "/data/trace.rct", "digest": "..."}`` —
-  an on-disk chunked trace (see :mod:`repro.trace.chunkstore`), opened
-  by path and fed to the engines chunk-at-a-time; workers receive the
-  path, never the arrays.  ``digest`` (optional) pins the expected
-  content.
-
-Sweep specs may also carry ``"sample"``, an interval-sampling plan
-(:meth:`repro.trace.sampling.SamplePlan.from_spec`: ``{"intervals": 16,
-"interval_ranges": 4096, "warmup_ranges": 1024, "mode": "uniform"}``).
-Sampled results are *estimates*: they are stored under sample-specific
-keys (never mixed with exact results) and flagged ``"estimated": true``
-with their extrapolation error.
-
-Every spec is *content-addressed*: :func:`trace_key` is a digest of the
-canonical spec JSON, so two clients submitting the same trace (however
-phrased) share store entries.
-
-All execution knobs (``max_workers``, ``job_timeout``, ``job_retries``)
-route into :class:`repro.runtime.executor.ExecutorPolicy`, so service
-jobs inherit the fault-tolerant runtime: per-pass timeouts, bounded
-retries, fault injection and journal events all carry over.  The
-policy is built (and so range-checked) at submission.
+:func:`validate_spec` checks every field a job reads at submission, so
+a malformed spec is rejected before it is queued.  Every spec is
+*content-addressed*: :func:`trace_key` is a digest of the canonical
+trace spec, so two clients submitting the same trace (however phrased)
+share store entries; sampled results live under sample-specific keys
+and never mix with exact ones.  Execution knobs (``max_workers``,
+``job_timeout``, ``job_retries``) route into
+:class:`repro.runtime.executor.ExecutorPolicy`, so jobs inherit the
+fault-tolerant runtime: per-pass timeouts, bounded retries, fault
+injection and journal events all carry over.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any
+import math
+import threading
+import weakref
+from contextlib import contextmanager
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -72,12 +43,16 @@ from repro.runtime.journal import RunJournal, resolve_journal
 from repro.service.store import ResultStore, StoreEvaluationCache
 from repro.trace.chunkstore import ChunkedTrace
 from repro.trace.sampling import SamplePlan
+from repro.workloads.suite import BENCHMARK_NAMES
 
 #: Job kinds the queue accepts.
 JOB_KINDS = ("sweep", "estimate", "explore")
 
 #: Trace kinds a sweep spec accepts.
 TRACE_KINDS = ("ranges", "synthetic", "benchmark", "chunked")
+
+#: Reference-trace roles of benchmark-backed specs.
+ROLES = ("icache", "dcache", "unified")
 
 #: Store namespaces used by job execution.
 NS_METRICS = "metrics"
@@ -221,15 +196,29 @@ def sweep_trace(trace_spec: dict[str, Any]):
     """The trace argument a sweep should pass to the cache layer.
 
     Chunked specs open the on-disk store (the sweep streams it and ships
-    only the path to workers); everything else becomes a picklable
-    factory so workers materialize the arrays themselves.
+    only the path to workers).  Benchmark traces come from the memoized
+    experiment pipeline as arrays: a worker rebuilding them from the
+    spec would re-run compile and emulate, so parallel passes map the
+    parent's copy from shared memory instead.  Cheap synthetic and
+    explicit traces stay picklable factories, so workers materialize
+    the arrays themselves.
     """
-    if trace_spec.get("kind") == "chunked":
+    kind = trace_spec.get("kind")
+    if kind == "chunked":
         return _open_chunked(trace_spec)
+    if kind == "benchmark":
+        trace = _benchmark_trace(trace_spec)
+        return trace.starts, trace.sizes
     return SpecTraceFactory(trace_spec)
 
 
 def _benchmark_trace(trace_spec: dict[str, Any]):
+    """The reference trace a ``benchmark`` trace spec names.
+
+    Memoized per (benchmark, scale, visits) through
+    :func:`repro.experiments.runner.get_pipeline`, so every caller
+    shares one front-end run per benchmark.
+    """
     from repro.experiments.runner import RunnerSettings, get_pipeline
 
     benchmark = _require(trace_spec, "benchmark", "benchmark trace")
@@ -254,14 +243,21 @@ class SpecTraceFactory:
     def __call__(self) -> tuple[Any, Any]:
         return build_trace_arrays(self.trace_spec)
 
+    def __len__(self) -> int:
+        """The trace's range count, without materializing it."""
+        if self.trace_spec["kind"] == "synthetic":
+            return int(self.trace_spec.get("ranges", 512))
+        return len(self.trace_spec["starts"])
+
 
 def validate_spec(spec: Any) -> dict[str, Any]:
-    """Check a job spec's shape up front (at submission time).
+    """Check a job spec up front (at submission time).
 
     Raises :class:`ServiceError` with an actionable message; returns the
-    spec unchanged when acceptable.  Full validation of e.g. benchmark
-    names happens at execution; this catches the malformed 90% before
-    they occupy the queue.
+    spec unchanged when acceptable.  Every field execution reads is
+    checked here, so a malformed spec never occupies the queue; only
+    what depends on the executing host (a chunked trace's file) is left
+    to execution.
     """
     if not isinstance(spec, dict):
         raise ServiceError(f"job spec must be a JSON object, got {type(spec).__name__}")
@@ -300,22 +296,64 @@ def validate_spec(spec: Any) -> dict[str, Any]:
             path = _require(trace_spec, "path", "chunked trace")
             if not isinstance(path, str) or not path:
                 raise ServiceError("chunked trace 'path' must be a string")
-        elif trace_spec["kind"] != "benchmark":
+        elif trace_spec["kind"] == "benchmark":
+            _check_workload(trace_spec, "benchmark trace")
+            _check_role(trace_spec.get("role", "unified"))
+        else:
             build_trace_arrays(trace_spec)  # cheap: validates eagerly
         parse_configs(_require(spec, "configs", kind))
     elif kind == "estimate":
-        _require(spec, "benchmark", kind)
+        _check_workload(spec, kind)
         parse_configs(_require(spec, "configs", kind))
         dilations = spec.get("dilations", [1.0])
-        if not dilations:
+        if isinstance(dilations, list) and not dilations:
             raise ServiceError("estimate job needs at least one dilation")
-        role = spec.get("role", "icache")
-        if role not in ("icache", "dcache", "unified"):
-            raise ServiceError(f"unknown role {role!r}")
+        if not isinstance(dilations, list) or not all(
+            _is_number(d) and d > 0 for d in dilations
+        ):
+            raise ServiceError(
+                "'dilations' must be a list of positive numbers, "
+                f"got {dilations!r}"
+            )
+        _check_role(spec.get("role", "icache"))
     else:  # explore
-        _require(spec, "benchmark", kind)
+        _check_workload(spec, kind)
+        _system_space(spec.get("space"))
     spec_policy(spec)
     return spec
+
+
+def _is_number(value: Any) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _check_role(role: Any) -> None:
+    if role not in ROLES:
+        raise ServiceError(f"unknown role {role!r}; expected one of {ROLES}")
+
+
+def _check_workload(spec: dict[str, Any], where: str) -> None:
+    """The benchmark, ``scale`` and ``visits`` a benchmark-backed spec names."""
+    name = _require(spec, "benchmark", where)
+    if name not in BENCHMARK_NAMES:
+        raise ServiceError(
+            f"unknown benchmark {name!r}; choose from "
+            f"{', '.join(BENCHMARK_NAMES)}"
+        )
+    scale = spec.get("scale", 1.0)
+    if not (_is_number(scale) and scale > 0):
+        raise ServiceError(
+            f"{where} 'scale' must be a positive number, got {scale!r}"
+        )
+    visits = spec.get("visits", 60_000)
+    if isinstance(visits, bool) or not isinstance(visits, int) or visits < 1:
+        raise ServiceError(
+            f"{where} 'visits' must be a positive integer, got {visits!r}"
+        )
 
 
 def spec_policy(spec: dict[str, Any]) -> ExecutorPolicy:
@@ -390,7 +428,8 @@ def execute_job(
             spec=spec,
             journal=journal,
             run_id=run_id,
-            benchmark=spec.get("benchmark"),
+            benchmark=spec.get("benchmark")
+            or (spec.get("trace") or {}).get("benchmark"),
         )
     try:
         if kind == "sweep":
@@ -483,47 +522,24 @@ def _execute_sweep(
         else:
             missing.append(config)
 
+    # The trace length is stored with the results, so a fully served
+    # job reports it without rebuilding the trace.
+    ranges_key = f"ranges:{tkey}"
+    ranges = store.get(ranges_key, namespace=NS_METRICS)
     simulated: dict[CacheConfig, Any] = {}
-    if missing:
+    if missing or not isinstance(ranges, int):
         trace = sweep_trace(trace_spec)
         try:
-            fresh = {}
-            if plan is not None:
-                results = sampled_sweep_design_space(
-                    missing, trace, plan, journal=journal
+            ranges = len(trace[0]) if isinstance(trace, tuple) else len(trace)
+            if missing:
+                simulated = _simulate_sweep(
+                    spec, missing, trace, plan, store, journal, tkey
                 )
-                for config, miss in results.items():
-                    doc = {
-                        "accesses": miss.accesses,
-                        "misses": miss.misses,
-                        "estimated": True,
-                        "error": miss.error,
-                        "intervals": miss.intervals,
-                        "sampled_ranges": miss.sampled_ranges,
-                        "total_ranges": miss.total_ranges,
-                    }
-                    simulated[config] = doc
-                    fresh[result_key(rkey_trace, config)] = doc
-            else:
-                # Group-level de-duplication: the sweep checkpoints each
-                # line-size group's single-pass state into the shared
-                # store, so even a *partially* overlapping grid reuses
-                # whole passes.
-                checkpoint = StoreEvaluationCache(
-                    store, namespace=NS_EVALCACHE
-                )
-                results = sweep_design_space(
-                    missing,
-                    trace,
-                    policy=spec_policy(spec),
-                    journal=journal,
-                    checkpoint=checkpoint,
-                    trace_key=tkey,
-                )
-                for config, miss in results.items():
-                    doc = {"accesses": miss.accesses, "misses": miss.misses}
-                    simulated[config] = doc
-                    fresh[result_key(rkey_trace, config)] = doc
+            fresh = {
+                result_key(rkey_trace, config): doc
+                for config, doc in simulated.items()
+            }
+            fresh[ranges_key] = ranges
             store.put_many(fresh, namespace=NS_METRICS)
         finally:
             if isinstance(trace, ChunkedTrace):
@@ -549,8 +565,90 @@ def _execute_sweep(
         "from_store": len(stored),
         "simulated": len(simulated),
         "sampled": plan is not None,
+        "ranges": ranges,
         "results": docs,
     }
+
+
+def _simulate_sweep(
+    spec: dict[str, Any],
+    configs: list[CacheConfig],
+    trace: Any,
+    plan: SamplePlan | None,
+    store: ResultStore,
+    journal: RunJournal,
+    tkey: str,
+) -> dict[CacheConfig, dict[str, Any]]:
+    """Result documents of the configs a sweep job could not serve."""
+    if plan is not None:
+        results = sampled_sweep_design_space(
+            configs, trace, plan, journal=journal
+        )
+        return {
+            config: {
+                "accesses": miss.accesses,
+                "misses": miss.misses,
+                "estimated": True,
+                "error": miss.error,
+                "intervals": miss.intervals,
+                "sampled_ranges": miss.sampled_ranges,
+                "total_ranges": miss.total_ranges,
+            }
+            for config, miss in results.items()
+        }
+    # Group-level de-duplication: the sweep checkpoints each line-size
+    # group's single-pass state into the shared store, so even a
+    # *partially* overlapping grid reuses whole passes.
+    results = sweep_design_space(
+        configs,
+        trace,
+        policy=spec_policy(spec),
+        journal=journal,
+        checkpoint=StoreEvaluationCache(store, namespace=NS_EVALCACHE),
+        trace_key=tkey,
+    )
+    return {
+        config: {"accesses": miss.accesses, "misses": miss.misses}
+        for config, miss in results.items()
+    }
+
+
+#: One lock per memoized evaluator (see :func:`_checkpointed`).
+_EVALUATOR_LOCKS: "weakref.WeakKeyDictionary[Any, threading.Lock]" = (
+    weakref.WeakKeyDictionary()
+)
+_EVALUATOR_LOCKS_GUARD = threading.Lock()
+
+
+@contextmanager
+def _checkpointed(
+    evaluator: Any, store: ResultStore, bench_id: str, sample_spec: Any
+) -> Iterator[None]:
+    """Attach the shared checkpoint (and sampling plan) for one job.
+
+    The evaluator belongs to a memoized pipeline that outlives the job
+    and is shared by every service worker thread, so jobs on one
+    evaluator hold its lock for the whole block (one at a time), and
+    both are detached afterwards: a later job must neither write into
+    this job's store nor inherit its sampling plan.
+    """
+    with _EVALUATOR_LOCKS_GUARD:
+        lock = _EVALUATOR_LOCKS.setdefault(evaluator, threading.Lock())
+    with lock:
+        # Priming passes checkpoint into the shared store,
+        # de-duplicating across jobs, processes and restarts.
+        evaluator.attach_checkpoint(
+            StoreEvaluationCache(store, namespace=NS_EVALCACHE),
+            trace_keys={r: f"{bench_id}:{r}" for r in ROLES},
+        )
+        if sample_spec:
+            evaluator.set_sample_plan(SamplePlan.from_spec(sample_spec))
+        try:
+            yield
+        finally:
+            evaluator.attach_checkpoint(None)
+            if sample_spec:
+                evaluator.set_sample_plan(None)
 
 
 def _execute_estimate(
@@ -571,18 +669,11 @@ def _execute_estimate(
         evaluator = pipeline.memory_evaluator()
     except ReproError as exc:
         raise ServiceError(f"cannot build evaluator: {exc}") from exc
-    # Priming passes checkpoint into the shared store, de-duplicating
-    # across jobs, processes and restarts.
-    evaluator.attach_checkpoint(
-        StoreEvaluationCache(store, namespace=NS_EVALCACHE),
-        trace_keys={r: f"{bench_id}:{r}" for r in ("icache", "dcache", "unified")},
-    )
     sample_spec = spec.get("sample")
-    if sample_spec:
-        evaluator.set_sample_plan(SamplePlan.from_spec(sample_spec))
-    grid = evaluator.misses_batch(
-        role, configs, dilations, max_workers=spec.get("max_workers")
-    )
+    with _checkpointed(evaluator, store, bench_id, sample_spec):
+        grid = evaluator.misses_batch(
+            role, configs, dilations, max_workers=spec.get("max_workers")
+        )
     journal.observe_cache(store, label="result-store")
     return {
         "kind": "estimate",
@@ -654,20 +745,15 @@ def _execute_explore(
     bench_id = (
         f"{benchmark}:scale={settings.scale:g}:visits={settings.max_visits}"
     )
-    evaluator.attach_checkpoint(
-        StoreEvaluationCache(store, namespace=NS_EVALCACHE),
-        trace_keys={r: f"{bench_id}:{r}" for r in ("icache", "dcache", "unified")},
-    )
     sample_spec = spec.get("sample")
-    if sample_spec:
-        evaluator.set_sample_plan(SamplePlan.from_spec(sample_spec))
-    pareto = Spacewalker(
-        space,
-        pipeline,
-        max_workers=spec.get("max_workers"),
-        policy=settings.executor_policy(),
-        journal=journal,
-    ).walk()
+    with _checkpointed(evaluator, store, bench_id, sample_spec):
+        pareto = Spacewalker(
+            space,
+            pipeline,
+            max_workers=spec.get("max_workers"),
+            policy=settings.executor_policy(),
+            journal=journal,
+        ).walk()
     frontier = [
         {
             "cost": point.cost,
@@ -697,6 +783,7 @@ def _execute_explore(
     return {
         "kind": "explore",
         "benchmark": benchmark,
+        "designs": len(pareto),
         "frontier_key": f"pareto:{bench_id}:space={frontier_id}",
         "frontier": frontier,
     }

@@ -24,11 +24,10 @@ a busy timeout, so concurrent multi-process writers queue rather than
 corrupt.  Connections are per-thread (sqlite connections must not cross
 threads), created lazily.
 
-:class:`StoreEvaluationCache` adapts a store namespace to the
-:class:`~repro.explore.evalcache.EvaluationCache` API so every existing
-call site — sweep checkpointing, evaluator priming, journal snapshots —
-can run on either backend unchanged; :func:`open_evaluation_cache`
-dispatches on the path suffix.
+:class:`StoreEvaluationCache` exposes one store namespace as the
+paper's EvaluationCache (get / put / get-or-compute with hit and miss
+accounting); it is the checkpoint type of sweep checkpointing and
+evaluator priming.
 """
 
 from __future__ import annotations
@@ -41,12 +40,10 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
-from repro.errors import EvaluationCacheError, ServiceError
-from repro.explore.evalcache import EvaluationCache, Metric
+from repro.errors import EvaluationCacheError
 
-#: Path suffixes that select the sqlite backend in
-#: :func:`open_evaluation_cache`.
-SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
+#: JSON-representable metric values.
+Metric = float | int | list | dict | str
 
 #: Default namespace for loose (non-adapter) results.
 DEFAULT_NAMESPACE = "metrics"
@@ -291,8 +288,8 @@ class ResultStore:
     def get(self, key: str, namespace: str | None = None) -> Metric | None:
         """The stored metric, or None when absent (counted as a miss).
 
-        Matches :meth:`EvaluationCache.get`: a present key whose stored
-        value is ``null`` still counts as a hit.
+        A present key whose stored value is ``null`` still counts as a
+        hit.
         """
         row = self._fetch(key, namespace)
         if row is None:
@@ -448,25 +445,22 @@ def _glob_prefix(prefix: str) -> str:
     return "".join(escaped) + "*"
 
 
-class StoreEvaluationCache(EvaluationCache):
-    """:class:`EvaluationCache` API over one :class:`ResultStore` namespace.
+class StoreEvaluationCache:
+    """The evaluation cache: get-or-compute over one store namespace.
 
     Every lookup reads through to sqlite (no stale in-memory snapshot),
     so concurrent processes sharing the database observe each other's
     writes immediately — the property that lets parallel spacewalker
     runs de-duplicate simulation work.  ``bulk()`` batches puts into one
-    transaction, mirroring the JSON backend's one-flush semantics.
+    transaction.
     """
 
     def __init__(self, store: ResultStore, namespace: str = "evalcache"):
-        # Deliberately no super().__init__: persistence is the store's.
         self.store = store
         self.namespace = namespace
-        self.path = store.path
         self.hits = 0
         self.misses = 0
         self._deferring = False
-        self._dirty = False
         self._pending: dict[str, Metric] = {}
 
     def __contains__(self, key: str) -> bool:
@@ -474,26 +468,31 @@ class StoreEvaluationCache(EvaluationCache):
             return True
         return self.store.contains(key, namespace=self.namespace)
 
+    def _lookup(self, key: str) -> tuple[bool, Metric | None]:
+        """``(present, value)``, counted as a hit or a miss."""
+        if self._deferring and key in self._pending:
+            present, value = True, self._pending[key]
+        else:
+            row = self.store._fetch(key, self.namespace)
+            present = row is not None
+            value = json.loads(row["value"]) if present else None
+        if present:
+            self.hits += 1
+        else:
+            self.misses += 1
+        return present, value
+
     def get(self, key: str) -> Metric | None:
         """The stored metric, or None when absent (a miss).
 
-        Same present-``null``-is-a-hit accounting as the JSON backend.
+        A present key whose stored value is ``null`` counts as a hit.
         """
-        if self._deferring and key in self._pending:
-            self.hits += 1
-            return self._pending[key]
-        row = self.store._fetch(key, self.namespace)
-        if row is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return json.loads(row["value"])
+        return self._lookup(key)[1]
 
     def put(self, key: str, value: Metric) -> None:
         """Upsert one metric (deferred to one transaction inside bulk)."""
         if self._deferring:
             self._pending[key] = value
-            self._dirty = True
             return
         self.store.put(key, value, namespace=self.namespace)
 
@@ -501,7 +500,6 @@ class StoreEvaluationCache(EvaluationCache):
         """Upsert a batch in one transaction."""
         if self._deferring:
             self._pending.update(items)
-            self._dirty = bool(self._pending) or self._dirty
             return
         self.store.put_many(items, namespace=self.namespace)
 
@@ -516,24 +514,23 @@ class StoreEvaluationCache(EvaluationCache):
             yield self
         finally:
             self._deferring = False
-            self._dirty = False
             pending, self._pending = self._pending, {}
             if pending:
                 self.store.put_many(pending, namespace=self.namespace)
 
     def get_or_compute(self, key: str, compute: Callable[[], Metric]) -> Metric:
         """Lookup, else evaluate and store."""
-        if self._deferring and key in self._pending:
-            self.hits += 1
-            return self._pending[key]
-        row = self.store._fetch(key, self.namespace)
-        if row is not None:
-            self.hits += 1
-            return json.loads(row["value"])
-        self.misses += 1
-        value = compute()
-        self.put(key, value)
+        present, value = self._lookup(key)
+        if not present:
+            value = compute()
+            self.put(key, value)
         return value
+
+    @property
+    def hit_rate(self) -> float:
+        """Hits per lookup; 0.0 before any lookup."""
+        lookups = self.hits + self.misses
+        return self.hits / lookups if lookups else 0.0
 
     def stats(self) -> dict[str, Metric]:
         """Hit/miss accounting snapshot (journal-friendly)."""
@@ -547,28 +544,3 @@ class StoreEvaluationCache(EvaluationCache):
     def __len__(self) -> int:
         return self.store.count(self.namespace) + len(self._pending)
 
-
-def open_evaluation_cache(
-    path: str | Path | None, namespace: str = "evalcache"
-) -> EvaluationCache:
-    """An evaluation cache on the backend the path suffix selects.
-
-    ``*.sqlite`` / ``*.sqlite3`` / ``*.db`` open (or create) a
-    :class:`ResultStore` and adapt it; anything else (including None,
-    the in-memory cache) keeps the legacy JSON backend.  Either return
-    value is an :class:`EvaluationCache`, so call sites need no
-    branching.
-    """
-    if path is not None and Path(path).suffix.lower() in SQLITE_SUFFIXES:
-        return StoreEvaluationCache(ResultStore(path), namespace=namespace)
-    return EvaluationCache(path)
-
-
-def require_store(cache: EvaluationCache) -> ResultStore:
-    """The store behind an adapter (for callers needing raw access)."""
-    if isinstance(cache, StoreEvaluationCache):
-        return cache.store
-    raise ServiceError(
-        "this EvaluationCache is not store-backed; expected a "
-        "StoreEvaluationCache adapter"
-    )

@@ -24,7 +24,7 @@ from repro.cache.designspace import (
 from repro.cache.linestream import clear_line_stream_cache
 from repro.cache.sweep import sweep_design_space
 from repro.errors import ConfigurationError
-from repro.explore.evalcache import EvaluationCache
+
 
 ALL_LINE_SIZES = [4, 8, 16, 32, 64, 128, 256]
 
@@ -322,7 +322,12 @@ class TestStateAndConfigs:
 
 
 class TestSweepInterop:
-    """Checkpoints written by either strategy resume under the other."""
+    """Checkpoints written by either engine resume under the other.
+
+    A sweep of several line sizes runs the whole-design-space kernel; a
+    sweep of one line size runs a plain per-line-size pass, so the
+    per-line oracle is one single-line-size sweep per group.
+    """
 
     def trace(self):
         rng = np.random.default_rng(5)
@@ -339,29 +344,28 @@ class TestSweepInterop:
             for assoc in (1, 2)
         ]
 
+    def per_line(self, configs, trace, **kwargs):
+        results = {}
+        for line_size in sorted({c.line_size for c in configs}):
+            group = [c for c in configs if c.line_size == line_size]
+            results.update(sweep_design_space(group, trace, **kwargs))
+        return results
+
     def test_strategies_bit_identical(self):
         configs, trace = self.configs(), self.trace()
         clear_line_stream_cache()
-        ds = sweep_design_space(configs, trace, strategy="designspace")
+        ds = sweep_design_space(configs, trace)
         clear_line_stream_cache()
-        perline = sweep_design_space(configs, trace, strategy="perline")
+        perline = self.per_line(configs, trace)
         assert ds == perline
 
-    def test_checkpoint_round_trip_across_strategies(self, tmp_path):
+    def test_checkpoint_round_trip_across_strategies(self, tmp_path, checkpoint_at):
         configs, trace = self.configs(), self.trace()
-        cache = EvaluationCache(tmp_path / "ck.json")
-        first = sweep_design_space(
-            configs, trace, checkpoint=cache, strategy="designspace"
-        )
+        cache = checkpoint_at(tmp_path / "ck.sqlite")
+        first = sweep_design_space(configs, trace, checkpoint=cache)
         # Resume from the same store with the per-line-size oracle: all
         # groups adopted, zero re-simulation, identical results.
-        resumed = EvaluationCache(tmp_path / "ck.json")
-        second = sweep_design_space(
-            configs, trace, checkpoint=resumed, strategy="perline"
-        )
+        resumed = checkpoint_at(tmp_path / "ck.sqlite")
+        second = self.per_line(configs, trace, checkpoint=resumed)
         assert first == second
         assert resumed.hits > 0 and resumed.misses == 0
-
-    def test_bad_strategy_rejected(self):
-        with pytest.raises(ConfigurationError, match="strategy"):
-            sweep_design_space(self.configs(), self.trace(), strategy="bogus")

@@ -38,17 +38,6 @@ class TestSweep:
         # derives every coarser line size from the finest stream.
         assert len(calls) == 1
 
-    def test_trace_factory_called_per_line_size_with_perline(self):
-        calls = []
-
-        def factory():
-            calls.append(1)
-            return small_trace()
-
-        configs = [CacheConfig(8, 1, 16), CacheConfig(8, 1, 32)]
-        sweep_design_space(configs, factory, strategy="perline")
-        assert len(calls) == 2
-
     def test_passes_required_counts_distinct_line_sizes(self):
         configs = [
             CacheConfig(8, 1, 16),

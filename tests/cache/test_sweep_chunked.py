@@ -12,7 +12,6 @@ from repro.cache.sweep import (
     sampled_sweep_design_space,
     sweep_design_space,
 )
-from repro.explore.evalcache import EvaluationCache
 from repro.runtime.journal import RunJournal
 from repro.trace.chunkstore import write_chunked
 from repro.trace.sampling import SamplePlan
@@ -103,7 +102,7 @@ class TestFullStateRoundTrip:
 
 
 class TestChunkCheckpointResume:
-    def test_sweep_resumes_from_mid_trace_snapshot(self, tmp_path, arrays,
+    def test_sweep_resumes_from_mid_trace_snapshot(self, tmp_path, checkpoint_at, arrays,
                                                    exact):
         starts, sizes = arrays
         with write_chunked(
@@ -111,7 +110,7 @@ class TestChunkCheckpointResume:
         ) as trace:
             # Seed the cache with a genuine snapshot taken after 2 chunks,
             # as an interrupted sweep would have left it.
-            cache = EvaluationCache()
+            cache = checkpoint_at(tmp_path / "checkpoint.sqlite")
             for line_size in (16, 32):
                 group = [c for c in CONFIGS if c.line_size == line_size]
                 set_counts = sorted({c.sets for c in group})
@@ -136,9 +135,9 @@ class TestChunkCheckpointResume:
         ]
         assert len(resumed) == 2  # both line-size groups resumed
 
-    def test_second_run_hits_group_checkpoint(self, tmp_path, arrays):
+    def test_second_run_hits_group_checkpoint(self, tmp_path, checkpoint_at, arrays):
         starts, sizes = arrays
-        cache = EvaluationCache()
+        cache = checkpoint_at(tmp_path / "checkpoint.sqlite")
         with write_chunked(
             tmp_path / "t.rct", starts, sizes, chunk_ranges=1000
         ) as trace:

@@ -6,9 +6,9 @@ import repro.cache.sweep as sweep_mod
 from repro.cache.config import CacheConfig
 from repro.cache.sweep import sweep_design_space
 from repro.errors import ConfigurationError, RuntimeExecutionError
-from repro.explore.evalcache import EvaluationCache
 from repro.runtime import ExecutorPolicy, FaultPlan, RunJournal
 from repro.runtime.executor import shm_available
+
 
 CONFIGS = [
     CacheConfig(8, 1, 16),
@@ -115,8 +115,8 @@ class TestFaultInjection:
 
 
 class TestCheckpointResume:
-    def test_second_run_simulates_nothing(self):
-        cache = EvaluationCache()
+    def test_second_run_simulates_nothing(self, tmp_path, checkpoint_at):
+        cache = checkpoint_at(tmp_path / "checkpoint.sqlite")
         journal = RunJournal()
         first = sweep_design_space(
             CONFIGS, trace(), checkpoint=cache, journal=journal
@@ -135,10 +135,10 @@ class TestCheckpointResume:
         assert all(e["action"] == "hit" for e in hits)
         assert len(hits) == 3
 
-    def test_kill_and_resume(self, tmp_path):
+    def test_kill_and_resume(self, tmp_path, checkpoint_at):
         """A run killed mid-sweep resumes from its completed groups."""
-        path = tmp_path / "checkpoint.json"
-        cache = EvaluationCache(path)
+        path = tmp_path / "checkpoint.sqlite"
+        cache = checkpoint_at(path)
         policy = ExecutorPolicy(
             retries=0, fault=FaultPlan("raise", match="64", times=99)
         )
@@ -148,11 +148,11 @@ class TestCheckpointResume:
             sweep_design_space(
                 CONFIGS, trace(), policy=policy, checkpoint=cache
             )
-        assert len(EvaluationCache(path)) == 2  # groups 16 and 32 survived
+        assert len(checkpoint_at(path)) == 2  # groups 16 and 32 survived
 
         # Resume with a fresh process (fresh cache object from disk) and
         # no fault: only the missing group simulates.
-        resumed_cache = EvaluationCache(path)
+        resumed_cache = checkpoint_at(path)
         journal = RunJournal()
         results = sweep_design_space(
             CONFIGS, trace(), checkpoint=resumed_cache, journal=journal
@@ -162,14 +162,14 @@ class TestCheckpointResume:
         assert len(passes) == 1
         assert passes[0]["line_size"] == 64
 
-    def test_trace_key_avoids_digest(self):
+    def test_trace_key_avoids_digest(self, tmp_path, checkpoint_at):
         calls = []
 
         def factory():
             calls.append(1)
             return trace()
 
-        cache = EvaluationCache()
+        cache = checkpoint_at(tmp_path / "checkpoint.sqlite")
         first = sweep_design_space(
             CONFIGS, factory, checkpoint=cache, trace_key="tiny-trace"
         )
@@ -181,8 +181,8 @@ class TestCheckpointResume:
         # The fully-warm rerun never needed the trace at all.
         assert len(calls) == materialized_first
 
-    def test_checkpoints_are_parallel_serial_compatible(self):
-        cache = EvaluationCache()
+    def test_checkpoints_are_parallel_serial_compatible(self, tmp_path, checkpoint_at):
+        cache = checkpoint_at(tmp_path / "checkpoint.sqlite")
         first = sweep_design_space(
             CONFIGS, trace(), max_workers=2, checkpoint=cache
         )
@@ -193,8 +193,8 @@ class TestCheckpointResume:
         assert first == second == BASELINE
         assert not journal.select("pass")
 
-    def test_distinct_traces_do_not_collide(self):
-        cache = EvaluationCache()
+    def test_distinct_traces_do_not_collide(self, tmp_path, checkpoint_at):
+        cache = checkpoint_at(tmp_path / "checkpoint.sqlite")
         sweep_design_space(CONFIGS, trace(), checkpoint=cache)
 
         starts, sizes = trace()

@@ -7,6 +7,7 @@ import pytest
 from repro.experiments.pipeline import ExperimentPipeline
 from repro.machine.mdes import MachineDescription
 from repro.machine.presets import P1111, P6332
+from repro.service.store import ResultStore, StoreEvaluationCache
 from repro.workloads.suite import tiny_workload
 
 
@@ -30,3 +31,13 @@ def mdes_narrow():
 @pytest.fixture(scope="session")
 def mdes_wide():
     return MachineDescription(P6332)
+
+
+@pytest.fixture
+def checkpoint_at():
+    """Factory: the evaluation cache over a sqlite store at a path."""
+
+    def make(path):
+        return StoreEvaluationCache(ResultStore(path))
+
+    return make

@@ -1,25 +1,22 @@
-"""Unit tests for repro.explore.evalcache."""
+"""Unit tests for the evaluation cache (``StoreEvaluationCache``)."""
 
 import multiprocessing
 import sys
 
 import pytest
 
-from repro.errors import EvaluationCacheError
-from repro.explore.evalcache import EvaluationCache
-
 
 class TestInMemory:
-    def test_get_put(self):
-        cache = EvaluationCache()
+    def test_get_put(self, tmp_path, checkpoint_at):
+        cache = checkpoint_at(tmp_path / "metrics.sqlite")
         assert cache.get("k") is None
         cache.put("k", 1.5)
         assert cache.get("k") == 1.5
         assert "k" in cache
         assert len(cache) == 1
 
-    def test_get_or_compute_calls_once(self):
-        cache = EvaluationCache()
+    def test_get_or_compute_calls_once(self, tmp_path, checkpoint_at):
+        cache = checkpoint_at(tmp_path / "metrics.sqlite")
         calls = []
 
         def compute():
@@ -36,30 +33,30 @@ class TestInMemory:
 class TestHitMissAccounting:
     """Regression pin: get/get_or_compute/bulk all count hits AND misses."""
 
-    def test_get_counts_misses(self):
-        cache = EvaluationCache()
+    def test_get_counts_misses(self, tmp_path, checkpoint_at):
+        cache = checkpoint_at(tmp_path / "metrics.sqlite")
         assert cache.get("absent") is None
         assert (cache.hits, cache.misses) == (0, 1)
         cache.put("k", 1)
         assert cache.get("k") == 1
         assert (cache.hits, cache.misses) == (1, 1)
 
-    def test_get_none_value_is_a_hit(self):
+    def test_get_none_value_is_a_hit(self, tmp_path, checkpoint_at):
         # Present-with-None matches __contains__: stored null is a hit.
-        cache = EvaluationCache()
+        cache = checkpoint_at(tmp_path / "metrics.sqlite")
         cache.put("k", None)
         assert "k" in cache
         assert cache.get("k") is None
         assert (cache.hits, cache.misses) == (1, 0)
 
-    def test_get_or_compute_counts(self):
-        cache = EvaluationCache()
+    def test_get_or_compute_counts(self, tmp_path, checkpoint_at):
+        cache = checkpoint_at(tmp_path / "metrics.sqlite")
         cache.get_or_compute("k", lambda: 7)
         cache.get_or_compute("k", lambda: 7)
         assert (cache.hits, cache.misses) == (1, 1)
 
-    def test_bulk_preserves_counts(self, tmp_path):
-        cache = EvaluationCache(tmp_path / "metrics.json")
+    def test_bulk_preserves_counts(self, tmp_path, checkpoint_at):
+        cache = checkpoint_at(tmp_path / "metrics.sqlite")
         with cache.bulk():
             for i in range(4):
                 cache.get_or_compute(f"k{i}", lambda: i)
@@ -68,8 +65,8 @@ class TestHitMissAccounting:
             assert cache.get("nope") is None
         assert (cache.hits, cache.misses) == (2, 5)
 
-    def test_hit_rate_and_stats(self):
-        cache = EvaluationCache()
+    def test_hit_rate_and_stats(self, tmp_path, checkpoint_at):
+        cache = checkpoint_at(tmp_path / "metrics.sqlite")
         assert cache.hit_rate == 0.0
         cache.put("k", 1)
         cache.get("k")
@@ -84,98 +81,86 @@ class TestHitMissAccounting:
 
 
 class TestPersistent:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "metrics.json"
-        cache = EvaluationCache(path)
+    def test_round_trip(self, tmp_path, checkpoint_at):
+        path = tmp_path / "metrics.sqlite"
+        cache = checkpoint_at(path)
         cache.put("misses/gcc/ic32", 1234)
         cache.put("dilation/6332", 2.79)
-        reloaded = EvaluationCache(path)
+        reloaded = checkpoint_at(path)
         assert reloaded.get("misses/gcc/ic32") == 1234
         assert reloaded.get("dilation/6332") == 2.79
 
-    def test_structured_values(self, tmp_path):
-        path = tmp_path / "metrics.json"
-        cache = EvaluationCache(path)
+    def test_structured_values(self, tmp_path, checkpoint_at):
+        path = tmp_path / "metrics.sqlite"
+        cache = checkpoint_at(path)
         cache.put("vector", [1, 2, 3])
         cache.put("table", {"a": 1.0})
-        reloaded = EvaluationCache(path)
+        reloaded = checkpoint_at(path)
         assert reloaded.get("vector") == [1, 2, 3]
         assert reloaded.get("table") == {"a": 1.0}
 
-    def test_corrupt_file_raises(self, tmp_path):
-        path = tmp_path / "metrics.json"
-        path.write_text("{not json")
-        with pytest.raises(EvaluationCacheError, match="unreadable"):
-            EvaluationCache(path)
-
-    def test_non_object_file_raises(self, tmp_path):
-        path = tmp_path / "metrics.json"
-        path.write_text("[1, 2]")
-        with pytest.raises(EvaluationCacheError, match="not a JSON object"):
-            EvaluationCache(path)
-
-    def test_empty_file_ok(self, tmp_path):
-        path = tmp_path / "metrics.json"
+    def test_empty_file_ok(self, tmp_path, checkpoint_at):
+        path = tmp_path / "metrics.sqlite"
         path.write_text("")
-        cache = EvaluationCache(path)
+        cache = checkpoint_at(path)
         assert len(cache) == 0
 
-    def test_parent_directory_created(self, tmp_path):
-        path = tmp_path / "deep" / "nest" / "metrics.json"
-        cache = EvaluationCache(path)
+    def test_parent_directory_created(self, tmp_path, checkpoint_at):
+        path = tmp_path / "deep" / "nest" / "metrics.sqlite"
+        cache = checkpoint_at(path)
         cache.put("k", 1)
         assert path.exists()
 
 
-def _hammer_worker(path, worker, n_keys):
-    cache = EvaluationCache(path)
+def _hammer_worker(checkpoint_at, path, worker, n_keys):
+    cache = checkpoint_at(path)
     for i in range(n_keys):
         cache.put(f"w{worker}/k{i}", worker * 1000 + i)
 
 
 class TestConcurrentWriters:
-    """Regression: two flushers of one path must union, not clobber."""
+    """Regression: two writers of one database must union, not clobber."""
 
-    def test_two_instances_merge_on_flush(self, tmp_path):
-        path = tmp_path / "metrics.json"
-        first = EvaluationCache(path)
-        second = EvaluationCache(path)
+    def test_two_instances_merge_on_flush(self, tmp_path, checkpoint_at):
+        path = tmp_path / "metrics.sqlite"
+        first = checkpoint_at(path)
+        second = checkpoint_at(path)
         first.put("a", 1)
-        second.put("b", 2)  # pre-fix this flush dropped "a"
-        reloaded = EvaluationCache(path)
+        second.put("b", 2)
+        reloaded = checkpoint_at(path)
         assert reloaded.get("a") == 1
         assert reloaded.get("b") == 2
 
-    def test_later_writer_wins_per_key(self, tmp_path):
-        path = tmp_path / "metrics.json"
-        first = EvaluationCache(path)
-        second = EvaluationCache(path)
+    def test_later_writer_wins_per_key(self, tmp_path, checkpoint_at):
+        path = tmp_path / "metrics.sqlite"
+        first = checkpoint_at(path)
+        second = checkpoint_at(path)
         first.put("k", "old")
         second.put("k", "new")
-        assert EvaluationCache(path).get("k") == "new"
+        assert checkpoint_at(path).get("k") == "new"
 
-    def test_bulk_flush_merges(self, tmp_path):
-        path = tmp_path / "metrics.json"
-        first = EvaluationCache(path)
-        second = EvaluationCache(path)
+    def test_bulk_flush_merges(self, tmp_path, checkpoint_at):
+        path = tmp_path / "metrics.sqlite"
+        first = checkpoint_at(path)
+        second = checkpoint_at(path)
         with first.bulk():
             for i in range(5):
                 first.put(f"first/{i}", i)
         with second.bulk():
             for i in range(5):
                 second.put(f"second/{i}", i)
-        reloaded = EvaluationCache(path)
+        reloaded = checkpoint_at(path)
         assert len(reloaded) == 10
 
     @pytest.mark.skipif(
-        sys.platform.startswith("win"), reason="fork + flock are POSIX"
+        sys.platform.startswith("win"), reason="fork is POSIX"
     )
-    def test_multiprocess_hammer(self, tmp_path):
-        path = tmp_path / "metrics.json"
+    def test_multiprocess_hammer(self, tmp_path, checkpoint_at):
+        path = tmp_path / "metrics.sqlite"
         ctx = multiprocessing.get_context("fork")
         workers, n_keys = 4, 20
         procs = [
-            ctx.Process(target=_hammer_worker, args=(path, w, n_keys))
+            ctx.Process(target=_hammer_worker, args=(checkpoint_at, path, w, n_keys))
             for w in range(workers)
         ]
         for proc in procs:
@@ -183,33 +168,8 @@ class TestConcurrentWriters:
         for proc in procs:
             proc.join(timeout=60)
             assert proc.exitcode == 0
-        reloaded = EvaluationCache(path)
+        reloaded = checkpoint_at(path)
         assert len(reloaded) == workers * n_keys
         for w in range(workers):
             for i in range(n_keys):
                 assert reloaded.get(f"w{w}/k{i}") == w * 1000 + i
-
-
-class TestTmpHygiene:
-    """Regression: interrupted flushes must not leak *.tmp siblings."""
-
-    def test_unserializable_value_leaves_no_tmp(self, tmp_path):
-        path = tmp_path / "metrics.json"
-        cache = EvaluationCache(path)
-        cache.put("good", 1)
-        with pytest.raises(EvaluationCacheError, match="cannot write"):
-            cache.put("bad", object())  # json.dump raises TypeError
-        assert list(tmp_path.glob("*.tmp")) == []
-        # The cache file is still intact from the last good flush.
-        assert EvaluationCache(path).get("good") == 1
-
-    def test_stale_tmps_reaped_on_flush(self, tmp_path):
-        path = tmp_path / "metrics.json"
-        stale = tmp_path / "metrics.jsonabc123.tmp"
-        stale.write_text("{}")
-        unrelated = tmp_path / "other.jsonxyz.tmp"
-        unrelated.write_text("{}")
-        cache = EvaluationCache(path)
-        cache.put("k", 1)
-        assert not stale.exists()
-        assert unrelated.exists()  # only this path's siblings are reaped

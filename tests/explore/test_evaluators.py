@@ -113,9 +113,9 @@ class TestCheckpointAdoption:
     """attach_checkpoint: priming states survive across evaluators."""
 
     def _attached(self, tmp_path, name="ckpt.sqlite"):
-        from repro.service.store import open_evaluation_cache
+        from repro.service.store import ResultStore, StoreEvaluationCache
 
-        cache = open_evaluation_cache(tmp_path / name)
+        cache = StoreEvaluationCache(ResultStore(tmp_path / name))
         evaluator = make_evaluator()
         evaluator.attach_checkpoint(cache)
         return evaluator, cache
@@ -143,18 +143,6 @@ class TestCheckpointAdoption:
         second.register("icache", [CacheConfig(8, 1, 32)])
         second.register("dcache", [CacheConfig(16, 1, 16)])
         assert second.prime() == 2  # both adopted from the checkpoint
-        assert second.simulation_passes == 0
-
-    def test_json_backend_works_too(self, tmp_path):
-        first, cache = self._attached(tmp_path, name="ckpt.json")
-        config = CacheConfig(8, 1, 32)
-        misses = first.simulated_misses("icache", config)
-
-        from repro.service.store import open_evaluation_cache
-
-        second = make_evaluator()
-        second.attach_checkpoint(open_evaluation_cache(tmp_path / "ckpt.json"))
-        assert second.simulated_misses("icache", config) == misses
         assert second.simulation_passes == 0
 
     def test_trace_keys_partition_the_namespace(self, tmp_path):

@@ -117,44 +117,38 @@ class TestFaultTolerantPrime:
 
 
 class TestEvalCacheBulk:
-    def test_bulk_defers_flushes(self, tmp_path):
-        from repro.explore.evalcache import EvaluationCache
+    def test_bulk_defers_flushes(self, tmp_path, checkpoint_at):
+        path = tmp_path / "cache.sqlite"
+        cache = checkpoint_at(path)
+        writes = []
+        original = cache.store.put_many
 
-        path = tmp_path / "cache.json"
-        cache = EvaluationCache(path)
-        flushes = []
-        original = cache._flush
+        def counting_put_many(*args, **kwargs):
+            writes.append(1)
+            original(*args, **kwargs)
 
-        def counting_flush():
-            flushes.append(1)
-            original()
-
-        cache._flush = counting_flush
+        cache.store.put_many = counting_put_many
         with cache.bulk():
             for i in range(10):
                 cache.put(f"k{i}", i)
-        # 10 deferred no-op flushes + one real write on exit.
-        reloaded = EvaluationCache(path)
+        # 10 deferred puts + one real write on exit.
+        reloaded = checkpoint_at(path)
         assert len(reloaded) == 10
         assert reloaded.get("k3") == 3
 
-    def test_put_many_single_write(self, tmp_path):
-        from repro.explore.evalcache import EvaluationCache
-
-        path = tmp_path / "cache.json"
-        cache = EvaluationCache(path)
+    def test_put_many_single_write(self, tmp_path, checkpoint_at):
+        path = tmp_path / "cache.sqlite"
+        cache = checkpoint_at(path)
         cache.put_many({"a": 1, "b": [2, 3], "c": "x"})
-        reloaded = EvaluationCache(path)
+        reloaded = checkpoint_at(path)
         assert reloaded.get("b") == [2, 3]
         assert len(reloaded) == 3
 
-    def test_bulk_nests_without_double_flush(self, tmp_path):
-        from repro.explore.evalcache import EvaluationCache
-
-        cache = EvaluationCache(tmp_path / "cache.json")
+    def test_bulk_nests_without_double_flush(self, tmp_path, checkpoint_at):
+        cache = checkpoint_at(tmp_path / "cache.sqlite")
         with cache.bulk():
             with cache.bulk():
                 cache.put("inner", 1)
             cache.put("outer", 2)
-        reloaded = EvaluationCache(tmp_path / "cache.json")
+        reloaded = checkpoint_at(tmp_path / "cache.sqlite")
         assert len(reloaded) == 2

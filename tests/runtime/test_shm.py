@@ -103,7 +103,7 @@ class TestHandle:
 
 class TestSweepHygiene:
     def baseline(self):
-        return sweep_design_space(CONFIGS, trace(), strategy="perline")
+        return sweep_design_space(CONFIGS, trace())
 
     def test_clean_parallel_sweep_no_leak(self):
         journal = RunJournal()

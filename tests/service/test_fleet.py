@@ -239,12 +239,15 @@ class TestFleetWorker:
         # The worker registered itself with its identity.
         assert any(w["id"] == "w-test" for w in svc.queue.workers())
 
-    def test_worker_reports_job_failure(self, broker):
+    def test_worker_reports_job_failure(self, broker, tmp_path):
         svc, client = broker
+        # Accepted at submission (the file may live on the workers'
+        # filesystem), fails on the worker, which cannot open it.
+        missing = str(tmp_path / "999.nope.rct")
         job_id = svc.submit(
             {
-                "kind": "estimate",
-                "benchmark": "999.nope",
+                "kind": "sweep",
+                "trace": {"kind": "chunked", "path": missing},
                 "configs": [{"sets": 8, "assoc": 1, "line_size": 16}],
             },
             max_attempts=1,

@@ -191,6 +191,60 @@ class TestValidateSpec:
             validate_spec({**base, "dilations": []})
 
 
+ESTIMATE = {
+    "kind": "estimate",
+    "benchmark": "epic",
+    "configs": [{"sets": 8, "assoc": 1, "line_size": 16}],
+}
+BENCH_TRACE = {"kind": "benchmark", "benchmark": "epic", "role": "unified"}
+
+#: Specs that used to pass validation and fail only at execution.
+MALFORMED = {
+    "dilations-strings": ({**ESTIMATE, "dilations": ["x"]}, "dilations"),
+    "dilations-scalar": ({**ESTIMATE, "dilations": 5}, "dilations"),
+    "dilations-negative": ({**ESTIMATE, "dilations": [-1.0]}, "dilations"),
+    "dilations-bool": ({**ESTIMATE, "dilations": [True]}, "dilations"),
+    "scale-string": ({**ESTIMATE, "scale": "big"}, "scale"),
+    "scale-zero": ({"kind": "explore", "benchmark": "epic", "scale": 0},
+                   "scale"),
+    "visits-negative": ({**ESTIMATE, "visits": -3}, "visits"),
+    "visits-float": ({"kind": "explore", "benchmark": "epic",
+                      "visits": 1.5}, "visits"),
+    "estimate-unknown-benchmark": ({**ESTIMATE, "benchmark": "999.nope"},
+                                   "unknown benchmark"),
+    "explore-unknown-benchmark": ({"kind": "explore", "benchmark": "nope"},
+                                  "unknown benchmark"),
+    "trace-unknown-benchmark": (
+        sweep_spec(trace={**BENCH_TRACE, "benchmark": "nope"}),
+        "unknown benchmark",
+    ),
+    "trace-scale": (sweep_spec(trace={**BENCH_TRACE, "scale": "big"}),
+                    "scale"),
+    "trace-visits": (sweep_spec(trace={**BENCH_TRACE, "visits": 0}),
+                     "visits"),
+    "trace-role": (sweep_spec(trace={**BENCH_TRACE, "role": "tlb"}),
+                   "unknown role"),
+    "explore-space": ({"kind": "explore", "benchmark": "epic",
+                       "space": {"icache": {"sizes_kb": [1]}}},
+                      "space overrides"),
+}
+
+
+class TestValidateSpecRejectsAtSubmission:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_rejected(self, case):
+        spec, message = MALFORMED[case]
+        with pytest.raises(ServiceError, match=message):
+            validate_spec(spec)
+
+    def test_accepts_benchmark_fields(self):
+        validate_spec({**ESTIMATE, "scale": 0.5, "visits": 100,
+                       "dilations": [1, 2.5]})
+        validate_spec(
+            sweep_spec(trace={**BENCH_TRACE, "scale": 2, "visits": 10})
+        )
+
+
 class TestSweepExecution:
     def test_results_match_direct_simulation(self, store):
         result = execute_job(sweep_spec(), store)
@@ -236,6 +290,27 @@ class TestSweepExecution:
         # The checkpoint namespace holds the shared group states.
         assert store.count(NS_EVALCACHE) > 0
 
+    def test_result_carries_trace_length(self, store):
+        assert execute_job(sweep_spec(), store)["ranges"] == 200
+        explicit = {"kind": "ranges", "starts": [0, 64, 8], "sizes": [4, 4, 4]}
+        result = execute_job(sweep_spec(trace=explicit), store)
+        assert result["ranges"] == 3
+
+    def test_served_job_reports_length_without_building_trace(
+        self, store, monkeypatch
+    ):
+        from repro.service import jobs
+
+        first = execute_job(sweep_spec(), store)
+
+        def no_trace(trace_spec):
+            raise AssertionError("a fully served job built its trace")
+
+        monkeypatch.setattr(jobs, "sweep_trace", no_trace)
+        again = execute_job(sweep_spec(), store)
+        assert again["from_store"] == again["total"]
+        assert again["ranges"] == first["ranges"]
+
     def test_equivalent_specs_share_store_entries(self, store):
         execute_job(sweep_spec(), store)
         # Same trace spec with keys in another order: same content address.
@@ -251,6 +326,47 @@ class TestSweepExecution:
         result = execute_job(reordered, store)
         assert result["from_store"] == 4
         assert result["simulated"] == 0
+
+
+class TestBenchmarkTraceSweeps:
+    """Benchmark traces are built once, in the submitting process."""
+
+    TRACE = {**BENCH_TRACE, "scale": 0.12, "visits": 2000}
+
+    def spec(self, **overrides):
+        return sweep_spec(
+            trace=self.TRACE,
+            configs={"sets": [8, 64], "assocs": [1, 2],
+                     "line_sizes": [16, 32, 64]},
+            **overrides,
+        )
+
+    def run(self, tmp_path, name, **overrides):
+        from repro.runtime import RunJournal
+
+        journal = RunJournal()
+        result = execute_job(
+            self.spec(**overrides),
+            ResultStore(tmp_path / f"{name}.sqlite"),
+            journal=journal,
+        )
+        return result, journal
+
+    def test_parallel_passes_ship_by_shm(self, tmp_path):
+        from repro.runtime.executor import shm_available
+
+        if not shm_available():
+            pytest.skip("no POSIX shared memory on this platform")
+        serial, _ = self.run(tmp_path, "serial")
+        parallel, journal = self.run(tmp_path, "parallel", max_workers=2)
+        (shipping,) = journal.select("trace_shipping")
+        assert shipping["mode"] == "shm"
+        assert parallel["results"] == serial["results"]
+
+    def test_result_carries_trace_length(self, tmp_path):
+        result, _ = self.run(tmp_path, "serial")
+        starts, _ = build_trace_arrays(self.TRACE)
+        assert result["ranges"] == len(starts)
 
 
 class TestEstimateAndExplore:
@@ -284,7 +400,7 @@ class TestEstimateAndExplore:
             "benchmark": "999.nope",
             "configs": [{"sets": 8, "assoc": 1, "line_size": 16}],
         }
-        with pytest.raises(ServiceError, match="cannot build"):
+        with pytest.raises(ServiceError, match="unknown benchmark"):
             execute_job(spec, store)
 
 
@@ -305,6 +421,7 @@ class TestChunkedTraceKind:
     def test_results_match_in_memory_sweep(self, store, tmp_path):
         result = execute_job(self._chunked_spec(tmp_path), store)
         assert result["simulated"] == 4
+        assert result["ranges"] == SYNTH["ranges"]
         starts, sizes = build_trace_arrays(SYNTH)
         for doc in result["results"]:
             config = CacheConfig(doc["sets"], doc["assoc"], doc["line_size"])
@@ -377,3 +494,88 @@ class TestSampledSweepJobs:
             validate_spec(
                 sweep_spec(sample={**self.SAMPLE, "mode": "random"})
             )
+
+
+class TestJobsLeaveNoStateBehind:
+    """Pipelines are memoized across jobs; a job's store and plan are not."""
+
+    ESTIMATE = {
+        **ESTIMATE,
+        "scale": 0.12,
+        "visits": 2000,
+        "configs": [{"sets": 16, "assoc": 1, "line_size": 16}],
+    }
+
+    def test_sampled_job_does_not_leak_its_plan(self, tmp_path):
+        exact = execute_job(self.ESTIMATE, ResultStore(tmp_path / "a.sqlite"))
+        sample = {"intervals": 2, "interval_ranges": 64, "warmup_ranges": 0}
+        sampled = execute_job(
+            {**self.ESTIMATE, "sample": sample},
+            ResultStore(tmp_path / "b.sqlite"),
+        )
+        assert sampled["results"] != exact["results"]
+        again = execute_job(self.ESTIMATE, ResultStore(tmp_path / "c.sqlite"))
+        assert again["results"] == exact["results"]
+
+    def test_checkpoint_detached_after_job(self, tmp_path):
+        from repro.experiments.runner import RunnerSettings, get_pipeline
+
+        execute_job(self.ESTIMATE, ResultStore(tmp_path / "a.sqlite"))
+        settings = RunnerSettings(scale=0.12, max_visits=2000)
+        evaluator = get_pipeline("epic", settings).memory_evaluator()
+        assert evaluator._checkpoint is None
+
+    def test_overlapping_jobs_on_one_evaluator_run_one_at_a_time(
+        self, tmp_path, monkeypatch
+    ):
+        import threading
+        import time
+
+        from repro.explore.evaluators import MemoryEvaluator
+
+        sample = {"intervals": 2, "interval_ranges": 64, "warmup_ranges": 0}
+        specs = {
+            "exact": self.ESTIMATE,
+            "sampled": {**self.ESTIMATE, "sample": sample},
+        }
+        serial = {
+            name: execute_job(spec, ResultStore(tmp_path / f"s-{name}.db"))
+            for name, spec in specs.items()
+        }
+
+        inside = []
+        overlap = []
+        original = MemoryEvaluator.misses_batch
+
+        def slow_batch(self, *args, **kwargs):
+            inside.append(1)
+            overlap.append(len(inside))
+            time.sleep(0.2)  # hold the evaluator while the other job starts
+            try:
+                return original(self, *args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(MemoryEvaluator, "misses_batch", slow_batch)
+        barrier = threading.Barrier(len(specs))
+        results, errors = {}, []
+
+        def run(name):
+            barrier.wait()
+            try:
+                results[name] = execute_job(
+                    specs[name], ResultStore(tmp_path / f"t-{name}.db")
+                )
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(n,)) for n in specs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert errors == []
+        assert max(overlap) == 1
+        for name in specs:
+            assert results[name]["results"] == serial[name]["results"]

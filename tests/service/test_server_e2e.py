@@ -128,6 +128,31 @@ class TestHTTPBasics:
             client.submit(spec)
         assert sum(svc.queue.counts().values()) == 0
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "estimate", "benchmark": "epic", "dilations": ["x"],
+             "configs": [{"sets": 8, "assoc": 1, "line_size": 16}]},
+            {"kind": "estimate", "benchmark": "epic", "dilations": 5,
+             "configs": [{"sets": 8, "assoc": 1, "line_size": 16}]},
+            {"kind": "explore", "benchmark": "epic", "scale": "big"},
+            {"kind": "explore", "benchmark": "epic", "visits": -3},
+            {"kind": "explore", "benchmark": "999.nope"},
+            {"kind": "sweep", "configs": {"sets": [8], "assocs": [1],
+                                          "line_sizes": [16]},
+             "trace": {"kind": "benchmark", "benchmark": "999.nope"}},
+        ],
+        ids=["dilations-x", "dilations-5", "scale", "visits", "benchmark",
+             "trace-benchmark"],
+    )
+    def test_malformed_spec_is_http_400_and_queues_nothing(
+        self, service, spec
+    ):
+        svc, client = service
+        with pytest.raises(ServiceError, match="HTTP 400"):
+            client.submit(spec)
+        assert sum(svc.queue.counts().values()) == 0
+
     def test_unknown_job_is_http_404(self, service):
         _, client = service
         with pytest.raises(ServiceError, match="HTTP 404"):
@@ -138,13 +163,16 @@ class TestHTTPBasics:
         with pytest.raises(ServiceError, match="HTTP 404"):
             client._request("GET", "/nope")
 
-    def test_failed_job_surfaces_error(self, service):
+    def test_failed_job_surfaces_error(self, service, tmp_path):
         svc, client = service
-        # Valid shape, invalid at execution: unknown benchmark.
+        # Valid shape, invalid at execution: the chunked trace file is
+        # missing on the executing host (validation only checks shape,
+        # since the file may live on the workers' filesystem).
+        missing = str(tmp_path / "missing.rct")
         job_id = client.submit(
             {
-                "kind": "estimate",
-                "benchmark": "999.nope",
+                "kind": "sweep",
+                "trace": {"kind": "chunked", "path": missing},
                 "configs": [{"sets": 8, "assoc": 1, "line_size": 16}],
             },
             max_attempts=1,

@@ -35,6 +35,34 @@ class TestParser:
         assert args.scale == 0.5
         assert args.visits == 123
 
+    @pytest.mark.parametrize(
+        "flag,bad",
+        [
+            ("--visits", "0"),
+            ("--visits", "-3"),
+            ("--visits", "many"),
+            ("--scale", "-1"),
+            ("--scale", "0"),
+            ("--scale", "big"),
+        ],
+    )
+    def test_out_of_range_workload_flags_rejected(self, flag, bad, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", flag, bad])
+        err = capsys.readouterr().err
+        assert flag in err
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--sets", "3"], "infeasible cache configuration"),
+            (["--sample-intervals", "2", "--sample-warmup", "-1"], "sample"),
+        ],
+    )
+    def test_invalid_sweep_job_is_a_clean_exit(self, extra, message):
+        with pytest.raises(SystemExit, match=message):
+            main(["sweep", *FAST, *extra])
+
 
 class TestCommands:
     def test_benchmarks_listing(self, capsys):
@@ -110,7 +138,8 @@ class TestMaxWorkers:
         self, capsys, monkeypatch, tiny_pipeline
     ):
         """The explore command reaches the parallel-priming path."""
-        import repro.cli as cli
+        import repro.experiments.runner as runner
+        import repro.service.jobs as jobs
         from repro.explore.spec import (
             CacheDesignSpace,
             ProcessorDesignSpace,
@@ -132,9 +161,9 @@ class TestMaxWorkers:
                 sizes_kb=(8,), assocs=(2,), line_sizes=(32,)
             ),
         )
-        monkeypatch.setattr(cli, "_explore_space", lambda: space)
+        monkeypatch.setattr(jobs, "_system_space", lambda overrides: space)
         monkeypatch.setattr(
-            cli, "get_pipeline", lambda bench, settings: tiny_pipeline
+            runner, "get_pipeline", lambda bench, settings: tiny_pipeline
         )
         assert main(["explore", *FAST, "--max-workers", "2"]) == 0
         out = capsys.readouterr().out
@@ -198,7 +227,8 @@ class TestExecutorOptions:
 
 class TestExploreAllBenchmarks:
     def _patch_tiny(self, monkeypatch, tiny_pipeline):
-        import repro.cli as cli
+        import repro.experiments.runner as runner
+        import repro.service.jobs as jobs
         from repro.explore.spec import (
             CacheDesignSpace,
             ProcessorDesignSpace,
@@ -220,9 +250,9 @@ class TestExploreAllBenchmarks:
                 sizes_kb=(8,), assocs=(2,), line_sizes=(32,)
             ),
         )
-        monkeypatch.setattr(cli, "_explore_space", lambda: space)
+        monkeypatch.setattr(jobs, "_system_space", lambda overrides: space)
         monkeypatch.setattr(
-            cli, "get_pipeline", lambda bench, settings: tiny_pipeline
+            runner, "get_pipeline", lambda bench, settings: tiny_pipeline
         )
 
     def test_explore_walks_every_requested_benchmark(
@@ -268,3 +298,74 @@ class TestJournalFlag:
         out = capsys.readouterr().out
         assert "Run journal" in out
         assert "1 retries" in out
+
+
+class TestRunsDb:
+    """``--runs-db``: the sweep runs against a persistent store."""
+
+    def test_rows_match_output_and_rerun_is_served_from_store(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.analytics.runs import get_run_rows, list_runs
+        from repro.runtime import RunJournal
+        from repro.service.store import ResultStore
+
+        db = tmp_path / "runs.sqlite"
+        argv = ["sweep", *FAST, "--runs-db", str(db), "--journal"]
+        assert main([*argv, str(tmp_path / "first.jsonl")]) == 0
+        first = capsys.readouterr()
+        assert "[runs] recorded" in first.err
+        store = ResultStore(db)
+        (run,) = list_runs(store)
+        assert run["kind"] == "sweep" and run["benchmark"] == "epic"
+        printed = {
+            tuple(int(v) for v in line.split()[:4])
+            for line in first.out.splitlines()[2:]
+        }
+        recorded = {
+            (row["line_size"], row["sets"], row["assoc"], int(row["misses"]))
+            for row in get_run_rows(store, run["id"])
+        }
+        assert len(printed) == 27
+        assert recorded == printed
+
+        def no_front_end(*args, **kwargs):
+            raise AssertionError("a served rerun built a pipeline")
+
+        # The rerun needs neither the trace nor its length from the
+        # front end: both results and trace length are in the store.
+        monkeypatch.setattr(
+            "repro.experiments.runner.get_pipeline", no_front_end
+        )
+        second_journal = tmp_path / "second.jsonl"
+        assert main([*argv, str(second_journal)]) == 0
+        assert capsys.readouterr().out == first.out
+        journal = RunJournal.load(second_journal)
+        (dedup,) = journal.select("service_dedup")
+        assert dedup["from_store"] == 27 and dedup["simulated"] == 0
+        assert not journal.select("pass")
+        assert len(list_runs(store)) == 2
+
+
+class TestBrokenPipe:
+    def test_closed_reader_exits_quietly(self):
+        """``repro benchmarks | head -1`` must not print a traceback."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "benchmarks"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()  # the reader goes away before any output
+        err = proc.stderr.read().decode()
+        proc.wait(timeout=60)
+        proc.stderr.close()
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err

@@ -3,12 +3,17 @@
 ``tests/golden/sweep_epic.txt`` is the stdout of ``repro sweep
 --benchmarks epic`` (27 configurations on epic's unified trace).  Every
 execution path a sweep can take — the in-process whole-design-space
-kernel, parallel per-line-size workers, a streamed on-disk chunked
-trace, and independent per-line-size passes — must print exactly these
-bytes.  Regenerate the file only for an intended output change:
+kernel, parallel per-line-size workers and a streamed on-disk chunked
+trace — must print exactly these bytes.  Regenerate the file only for
+an intended output change:
 
     PYTHONPATH=src python -m repro sweep --benchmarks epic \\
         > tests/golden/sweep_epic.txt
+
+Two more sweep goldens pin the other renderings:
+``sweep_epic_sampled.txt`` (``--sample-intervals 8``: the sampled
+header and the error column) and ``sweep_epic_icache32.txt`` (``--role
+icache --line-sizes 32``: one line size, so a plain per-line-size pass).
 
 ``tests/golden/explore_epic.txt`` is the stdout of ``repro explore
 --benchmarks epic``; its cycle counts are exact schedule lengths times
@@ -47,15 +52,28 @@ GOLDEN = Path(__file__).parent / "golden"
         [],
         ["--max-workers", "2"],
         ["--trace-format", "chunked"],
-        ["--strategy", "perline"],
     ],
-    ids=["default", "max-workers-2", "chunked", "perline"],
+    ids=["default", "max-workers-2", "chunked"],
 )
 def test_sweep_epic_matches_golden(extra, capsys):
     clear_line_stream_cache()
     assert main(["sweep", "--benchmarks", "epic", *extra]) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN / "sweep_epic.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "golden,extra",
+    [
+        ("sweep_epic_sampled.txt", ["--sample-intervals", "8"]),
+        ("sweep_epic_icache32.txt", ["--role", "icache", "--line-sizes", "32"]),
+    ],
+    ids=["sampled", "icache32"],
+)
+def test_sweep_epic_variants_match_golden(golden, extra, capsys):
+    assert main(["sweep", "--benchmarks", "epic", *extra]) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 def test_explore_epic_matches_golden(capsys):
